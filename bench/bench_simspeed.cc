@@ -113,8 +113,9 @@ measure(sim::RunContext &ctx, const Case &c, int defaultCores)
         p.pktsPerSec = static_cast<double>(pk) / wall.count();
         p.eventsPerSec = static_cast<double>(ev) / wall.count();
     }
+    // Application bits per simulated second, in Gbit/s.
     p.gbps = window > 0 ? static_cast<double>(by) * 8.0 /
-                              static_cast<double>(window)
+                              sim::ticksToSeconds(window) / 1e9
                         : 0.0;
 
     emitRegistrySnapshot(ctx, "simspeed", {{"case", c.label}});

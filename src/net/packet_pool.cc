@@ -58,7 +58,9 @@ PacketPool::recycle(Packet *p)
     p->rx.placed.clear(); // keeps vector capacity
     p->txCtx = 0;
     p->hdrValid_ = false;
-    p->bytes.clear(); // keeps buffer capacity
+    // bytes keep their size and content: the next take() resizes, so
+    // only growth past the old size is zero-filled, and every builder
+    // overwrites every byte it hands out (see alloc()).
     p->nextFree_ = free_;
     free_ = p;
     freeCount_++;

@@ -33,13 +33,16 @@ class PacketPool
     PacketPool &operator=(const PacketPool &) = delete;
     ~PacketPool();
 
-    /** A packet with bytes.size() == @p size; contents unspecified
-     *  (callers overwrite). Recycles a freelist packet when one fits. */
+    /** A packet with bytes.size() == @p size. Recycles a freelist
+     *  packet when one fits. Contents are unspecified: a reused buffer
+     *  is not cleared and may hold an earlier packet's bytes, so the
+     *  caller must write every one of the @p size bytes. */
     PacketPtr alloc(size_t size);
 
     /** Encodes headers + @p payloadLen unwritten payload bytes; the
-     *  caller fills payloadMut(). The header cache is primed from the
-     *  structs, so the packet is never re-decoded. */
+     *  caller must write all of payloadMut() (it may hold stale bytes
+     *  of a recycled packet; see alloc()). The header cache is primed
+     *  from the structs, so the packet is never re-decoded. */
     PacketPtr makeTcp(const Ipv4Header &ip, const TcpHeader &tcp,
                       size_t payloadLen);
 

@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <cstdlib>
+#include <memory>
 #include <string_view>
 
 namespace anic::sim {
@@ -11,30 +12,68 @@ Simulator::Simulator()
     calendar_ = !(q != nullptr && std::string_view(q) == "heap");
 }
 
+Simulator::~Simulator()
+{
+    // Destroys every slot ever handed out, which destroys the
+    // callbacks of events still pending. The newest chunk is
+    // constructed only up to the bump pointer.
+    for (const Chunk &c : chunks_) {
+        Callback *end = &c == &chunks_.back() ? bump_ : c.base + c.slots;
+        std::destroy(c.base, end);
+        std::allocator<Callback>().deallocate(c.base, c.slots);
+    }
+}
+
 void
-Simulator::scheduleAt(Tick when, Callback cb)
+Simulator::growSlots()
+{
+    const size_t n = chunks_.empty()
+                         ? kFirstChunkSlots
+                         : std::min(2 * chunks_.back().slots, kMaxChunkSlots);
+    chunks_.push_back(Chunk{std::allocator<Callback>().allocate(n), n});
+    bump_ = chunks_.back().base;
+    bumpEnd_ = bump_ + n;
+}
+
+Simulator::Callback *
+Simulator::allocSlot()
+{
+    if (!freeSlots_.empty()) {
+        Callback *slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return slot;
+    }
+    if (bump_ == bumpEnd_)
+        growSlots();
+    return ::new (static_cast<void *>(bump_++)) Callback();
+}
+
+void
+Simulator::scheduleAt(Tick when, Callback &&cb)
 {
     ANIC_ASSERT(when >= now_, "scheduling into the past: %llu < %llu",
                 static_cast<unsigned long long>(when),
                 static_cast<unsigned long long>(now_));
-    insert(Event{when, nextSeq_++, std::move(cb)});
+    Callback *slot = allocSlot();
+    *slot = std::move(cb);
+    insert(Key{when, nextSeq_++, slot});
 }
 
 void
-Simulator::insert(Event ev)
+Simulator::insert(const Key &k)
 {
     size_++;
     if (!calendar_) {
-        heap_.push(std::move(ev));
+        heap_.push(k);
         return;
     }
-    if (ev.when < wheelBase_ + kBucketWidth)
-        near_.push(std::move(ev));
-    else if (ev.when < windowEnd()) {
-        buckets_[bucketIndex(ev.when)].push_back(std::move(ev));
+    if (k.when < wheelBase_ + kBucketWidth)
+        near_.push(k);
+    else if (k.when < windowEnd()) {
+        buckets_[bucketIndex(k.when)].push_back(k);
         bucketed_++;
     } else
-        far_.push(std::move(ev));
+        far_.push(k);
 }
 
 bool
@@ -59,20 +98,20 @@ Simulator::settle()
         // The bucket that just entered [wheelBase_, wheelBase_ +
         // kBucketWidth) spills into near_; heap order restores the
         // exact (when, seq) sequence within it.
-        std::vector<Event> &b = buckets_[bucketIndex(wheelBase_)];
+        std::vector<Key> &b = buckets_[bucketIndex(wheelBase_)];
         if (!b.empty()) {
             bucketed_ -= b.size();
-            for (Event &ev : b)
-                near_.push(std::move(ev));
+            for (const Key &k : b)
+                near_.push(k);
             b.clear(); // keeps capacity for reuse
         }
         // Far events uncovered by the advancing horizon migrate in.
         while (!far_.empty() && far_.top().when < windowEnd()) {
-            Event ev = far_.pop();
-            if (ev.when < wheelBase_ + kBucketWidth)
-                near_.push(std::move(ev));
+            Key k = far_.pop();
+            if (k.when < wheelBase_ + kBucketWidth)
+                near_.push(k);
             else {
-                buckets_[bucketIndex(ev.when)].push_back(std::move(ev));
+                buckets_[bucketIndex(k.when)].push_back(k);
                 bucketed_++;
             }
         }
@@ -81,12 +120,16 @@ Simulator::settle()
 }
 
 void
-Simulator::execute(Event ev)
+Simulator::execute(const Key &k)
 {
     size_--;
-    now_ = ev.when;
+    now_ = k.when;
     executed_++;
-    ev.cb();
+    // Runs in place: events it schedules take other slots, and the
+    // store grows without moving this one.
+    (*k.slot)();
+    k.slot->reset();
+    freeSlots_.push_back(k.slot);
 }
 
 void

@@ -72,6 +72,13 @@ ticksToSeconds(Tick t)
  *
  * Callbacks are InlineFunction<kCallbackBytes>: captures never heap
  * allocate, and capture sets that would are rejected at compile time.
+ *
+ * The queues hold only 24-byte keys {when, seq, slot}. scheduleAt
+ * moves a callback once, into a slot of a chunked store whose slots
+ * never move; heap sifts and bucket spills then shuffle keys, never
+ * callbacks. A callback runs in place in its slot, so it may schedule
+ * any number of further events while it runs: the store grows by
+ * adding chunks, never by relocating live callbacks.
  */
 class Simulator
 {
@@ -84,6 +91,7 @@ class Simulator
     using Callback = InlineFunction<kCallbackBytes>;
 
     Simulator();
+    ~Simulator();
     Simulator(const Simulator &) = delete;
     Simulator &operator=(const Simulator &) = delete;
 
@@ -91,10 +99,10 @@ class Simulator
     Tick now() const { return now_; }
 
     /** Schedules @p cb to run @p delay ticks from now. */
-    void schedule(Tick delay, Callback cb) { scheduleAt(now_ + delay, std::move(cb)); }
+    void schedule(Tick delay, Callback &&cb) { scheduleAt(now_ + delay, std::move(cb)); }
 
     /** Schedules @p cb at absolute time @p when (>= now). */
-    void scheduleAt(Tick when, Callback cb);
+    void scheduleAt(Tick when, Callback &&cb);
 
     /** Runs events until the queue drains. */
     void run();
@@ -115,49 +123,70 @@ class Simulator
     bool usingCalendarQueue() const { return calendar_; }
 
   private:
-    struct Event
+    /** A queued event: its place in the (when, seq) order and the
+     *  store slot holding its callback. */
+    struct Key
     {
         Tick when;
         uint64_t seq;
-        Callback cb;
+        Callback *slot;
     };
+    static_assert(sizeof(Key) == 24);
 
     /** a runs after b in the (when, seq) total order. */
     static bool
-    later(const Event &a, const Event &b)
+    later(const Key &a, const Key &b)
     {
         if (a.when != b.when)
             return a.when > b.when;
         return a.seq > b.seq;
     }
 
-    /** Min-heap of events supporting move-only callbacks. */
-    class EventHeap
+    /** Min-heap of keys. */
+    class KeyHeap
     {
       public:
         bool empty() const { return v_.empty(); }
 
         void
-        push(Event ev)
+        push(const Key &k)
         {
-            v_.push_back(std::move(ev));
+            v_.push_back(k);
             std::push_heap(v_.begin(), v_.end(), later);
         }
 
-        Event
+        Key
         pop()
         {
             std::pop_heap(v_.begin(), v_.end(), later);
-            Event ev = std::move(v_.back());
+            Key k = v_.back();
             v_.pop_back();
-            return ev;
+            return k;
         }
 
-        const Event &top() const { return v_.front(); }
+        const Key &top() const { return v_.front(); }
 
       private:
-        std::vector<Event> v_;
+        std::vector<Key> v_;
     };
+
+    /** Callback slots: chunks that never move, plus a LIFO free list
+     *  of freed slots. Fresh slots are constructed only when first
+     *  handed out (a bump pointer through the newest chunk), so a
+     *  chunk costs nothing until used. The first chunk is small (a
+     *  Simulator built for a handful of events stays cheap); each
+     *  further chunk doubles, up to a cap. */
+    static constexpr size_t kFirstChunkSlots = 64;
+    static constexpr size_t kMaxChunkSlots = 4096;
+
+    struct Chunk
+    {
+        Callback *base;
+        size_t slots;
+    };
+
+    Callback *allocSlot();
+    void growSlots();
 
     // Wheel geometry: 1024 buckets of 2^16 ps (~65.5 ns) give a
     // ~67 us horizon that comfortably spans every data-path latency
@@ -173,14 +202,14 @@ class Simulator
 
     Tick windowEnd() const { return wheelBase_ + kBucketCount * kBucketWidth; }
 
-    void insert(Event ev);
+    void insert(const Key &k);
 
     /** Moves events around until near_ holds the global minimum (or
      *  returns false when the queue is empty). Pure reorganization:
      *  never executes anything. */
     bool settle();
 
-    void execute(Event ev);
+    void execute(const Key &k);
 
     bool calendar_;
     Tick now_ = 0;
@@ -191,12 +220,18 @@ class Simulator
     // --- calendar queue state
     Tick wheelBase_ = 0; ///< multiple of kBucketWidth
     size_t bucketed_ = 0; ///< events currently in buckets_
-    EventHeap near_;      ///< events with when < wheelBase_ + kBucketWidth
-    EventHeap far_;       ///< events with when >= windowEnd()
-    std::array<std::vector<Event>, kBucketCount> buckets_;
+    KeyHeap near_;        ///< events with when < wheelBase_ + kBucketWidth
+    KeyHeap far_;         ///< events with when >= windowEnd()
+    std::array<std::vector<Key>, kBucketCount> buckets_;
 
     // --- legacy single-heap state (ANIC_SIM_QUEUE=heap)
-    EventHeap heap_;
+    KeyHeap heap_;
+
+    // --- callback slot store
+    std::vector<Chunk> chunks_;
+    std::vector<Callback *> freeSlots_;
+    Callback *bump_ = nullptr;    ///< next never-used slot of the newest chunk
+    Callback *bumpEnd_ = nullptr; ///< end of the newest chunk
 };
 
 } // namespace anic::sim

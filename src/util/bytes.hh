@@ -74,6 +74,13 @@ std::string toHex(ByteView data);
 Bytes fromHex(const std::string &hex);
 
 /**
+ * The deterministic content function, one byte at a time: byte
+ * @p off of object @p seed. fillDeterministic and checkDeterministic
+ * produce exactly these bytes, a block of words at a time.
+ */
+uint8_t deterministicByte(uint64_t seed, uint64_t off);
+
+/**
  * Deterministic content generator. Fills @p out with bytes that are a
  * pure function of (seed, absolute offset), so any sub-range of an
  * object's content can be generated or verified independently.

@@ -2,8 +2,9 @@
  * @file
  * PacketPool tests: freelist recycling and capacity reuse, refcount
  * semantics (including the double-release death assert), the
- * zero-allocation steady state, and header-cache coherence across
- * recycling and in-place header rewrites.
+ * zero-allocation steady state, header-cache coherence across
+ * recycling and in-place header rewrites, and wire-byte identity of
+ * packets built in recycled (uncleared) buffers.
  */
 
 #include <gtest/gtest.h>
@@ -227,6 +228,34 @@ TEST(PacketPool, CopyIsIndependentOfSource)
     b->payloadMut()[0] = 0x55;
     EXPECT_EQ(a->payload()[0], 0xaa);
     EXPECT_EQ(b->tcp().seq, 7u);
+}
+
+TEST(PacketPool, ReusedBufferGivesSameWireBytesAsFreshPool)
+{
+    // Recycling does not clear a buffer, so a packet built in a bigger
+    // recycled one must still carry exactly its own bytes: the builder
+    // (makeTcp + a full payload write, as TCP's sendSegment does)
+    // overwrites every byte.
+    auto build = [](PacketPool &pool, uint32_t seq, size_t len) {
+        PacketPtr p = pool.makeTcp(ip4(1, 2), tcpHdr(3, 4, seq), len);
+        fillDeterministic(p->payloadMut(), seq, 0);
+        return p;
+    };
+    PacketPool reused;
+    PacketPtr big = reused.make(ip4(9, 8), tcpHdr(7, 6, 5),
+                                Bytes(1460, 0xee));
+    Packet *raw = big.get();
+    big.reset();
+    // Shrink to 300 and to a pure ack, then grow back within capacity.
+    for (auto [seq, len] : {std::pair<uint32_t, size_t>{77, 300},
+                            {78, 0},
+                            {79, 1000}}) {
+        PacketPool fresh;
+        Bytes want = build(fresh, seq, len)->bytes;
+        PacketPtr got = build(reused, seq, len);
+        ASSERT_EQ(got.get(), raw);
+        EXPECT_EQ(got->bytes, want) << "len " << len;
+    }
 }
 
 TEST(PacketPool, DISABLED_LeakedPacketTripsPoolDestructor)

@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the discrete-event simulator and statistics:
  * ordering semantics (shared by the calendar queue and the legacy
- * heap selected via ANIC_SIM_QUEUE=heap), the InlineFunction inline
- * callback, and a randomized calendar-vs-heap differential.
+ * heap selected via ANIC_SIM_QUEUE=heap), the callback slot store,
+ * the InlineFunction inline callback, and a randomized
+ * calendar-vs-heap differential.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 
@@ -140,6 +142,68 @@ TEST(Simulator, CalendarMatchesHeapOnRandomizedSchedule)
     auto heap = trace(true);
     EXPECT_FALSE(calendar.empty());
     EXPECT_EQ(calendar, heap);
+}
+
+TEST(Simulator, CallbackSchedulingManyEventsGrowsSlotStore)
+{
+    // The running callback lives in a store slot; the 10K events it
+    // schedules force the store to grow while it is still executing,
+    // so its own captures must stay valid throughout.
+    Simulator sim;
+    std::vector<int> order;
+    auto marker = std::make_shared<int>(12345);
+    int checked = 0;
+    sim.schedule(1, [&sim, &order, &checked, marker] {
+        for (int i = 0; i < 10000; i++) {
+            sim.schedule(static_cast<Tick>(10000 - i) % 97,
+                         [&order, i] { order.push_back(i); });
+            if (*marker == 12345)
+                checked++;
+        }
+    });
+    sim.run();
+    EXPECT_EQ(checked, 10000);
+    ASSERT_EQ(order.size(), 10000u);
+    // (when, seq) order: by delay, then by scheduling order.
+    std::vector<int> expect(10000);
+    for (int i = 0; i < 10000; i++)
+        expect[i] = i;
+    std::stable_sort(expect.begin(), expect.end(), [](int a, int b) {
+        return (10000 - a) % 97 < (10000 - b) % 97;
+    });
+    EXPECT_EQ(order, expect);
+    EXPECT_EQ(sim.eventsExecuted(), 10001u);
+    EXPECT_EQ(marker.use_count(), 1); // the slot released its capture
+}
+
+TEST(Simulator, CapturesReleasedOnceWhenRunOrDestroyedPending)
+{
+    // Each event holds the only reference to its shared_ptr, whose
+    // deleter counts releases: exactly one each, whether the event ran
+    // or was still pending when the Simulator was destroyed.
+    int ranReleased = 0;
+    int pendingReleased = 0;
+    int ran = 0;
+    {
+        Simulator sim;
+        std::shared_ptr<int> a(new int(1), [&](int *p) {
+            ranReleased++;
+            delete p;
+        });
+        std::shared_ptr<int> b(new int(2), [&](int *p) {
+            pendingReleased++;
+            delete p;
+        });
+        sim.schedule(10, [a = std::move(a), &ran] { ran += *a; });
+        sim.schedule(kSecond, [b = std::move(b), &ran] { ran += *b; });
+        sim.runUntil(kMillisecond);
+        EXPECT_EQ(ran, 1);
+        EXPECT_EQ(ranReleased, 1);
+        EXPECT_EQ(pendingReleased, 0);
+    }
+    EXPECT_EQ(ran, 1);
+    EXPECT_EQ(ranReleased, 1);
+    EXPECT_EQ(pendingReleased, 1);
 }
 
 TEST(InlineFunction, InvokesAndMovesCaptures)

@@ -86,6 +86,75 @@ TEST(Bytes, DeterministicFillDiffersAcrossSeeds)
     EXPECT_NE(a, b);
 }
 
+/** Byte-at-a-time reference for fill/check. */
+Bytes
+referenceContent(uint64_t seed, uint64_t offset, size_t len)
+{
+    Bytes out(len);
+    for (size_t i = 0; i < len; i++)
+        out[i] = deterministicByte(seed, offset + i);
+    return out;
+}
+
+TEST(Bytes, DeterministicFillMatchesByteReference)
+{
+    // Every start phase within a word, every length up to 1100 (two
+    // 512-byte block edges), and lengths straddling later block edges.
+    std::vector<size_t> lens;
+    for (size_t len = 0; len <= 1100; len++)
+        lens.push_back(len);
+    for (size_t edge : {1536u, 2048u, 4096u})
+        for (size_t len = edge - 9; len <= edge + 9; len++)
+            lens.push_back(len);
+    for (uint64_t base : {0ull, 4096ull, (1ull << 40) + 504})
+        for (uint64_t phase = 0; phase < 8; phase++)
+            for (size_t len : lens) {
+                uint64_t off = base + phase;
+                Bytes ref = referenceContent(7, off, len);
+                Bytes got(len, 0xa5);
+                fillDeterministic(got, 7, off);
+                ASSERT_EQ(got, ref) << "offset " << off << " len " << len;
+                ASSERT_TRUE(checkDeterministic(ref, 7, off))
+                    << "offset " << off << " len " << len;
+            }
+}
+
+TEST(Bytes, DeterministicCheckCatchesEveryBitFlip)
+{
+    for (uint64_t off : {0ull, 3ull}) {
+        Bytes data = referenceContent(99, off, 1100);
+        for (size_t i = 0; i < data.size(); i++) {
+            data[i] ^= static_cast<uint8_t>(1u << (i % 8));
+            ASSERT_FALSE(checkDeterministic(data, 99, off))
+                << "offset " << off << " flip at " << i;
+            data[i] ^= static_cast<uint8_t>(1u << (i % 8));
+        }
+        EXPECT_TRUE(checkDeterministic(data, 99, off));
+    }
+}
+
+TEST(Bytes, DeterministicContentKnownAnswers)
+{
+    // Pinned output of the content function: every workload's wire
+    // bytes and every verifier depend on it, so a change must be loud.
+    struct Kat
+    {
+        uint64_t offset;
+        Bytes bytes;
+    };
+    const Kat kats[] = {
+        {0, {0x1b, 0x6b, 0xcf, 0xc9, 0x1e, 0x3f, 0x9b, 0x4d}},
+        {7, {0x4d, 0x29, 0xfc, 0x9e, 0xac, 0x94, 0xb3, 0xb3}},
+        {4096, {0xff, 0x51, 0x11, 0x4d, 0x72, 0xc4, 0xea, 0x20}},
+    };
+    for (const Kat &k : kats) {
+        Bytes got(k.bytes.size());
+        fillDeterministic(got, 42, k.offset);
+        EXPECT_EQ(toHex(got), toHex(k.bytes)) << "offset " << k.offset;
+        EXPECT_EQ(referenceContent(42, k.offset, k.bytes.size()), k.bytes);
+    }
+}
+
 TEST(Rng, DeterministicAcrossReseeds)
 {
     Rng a(7);
