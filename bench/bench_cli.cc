@@ -164,7 +164,7 @@ Sweep::emitTiming()
         return;
 
     // Build the timing snapshot as a registry so it shares the
-    // anic.registry.v1 schema every other snapshot uses.
+    // anic.registry.v2 schema every other snapshot uses.
     sim::StatsRegistry reg;
     reg.gauge("runner.jobs").set(st.jobs);
     reg.gauge("runner.runs").set(static_cast<double>(st.runs));

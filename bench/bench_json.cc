@@ -40,7 +40,7 @@ std::string
 snapshotLine(const std::string &bench, const ScenarioTags &scenario,
              const sim::StatsRegistry &reg)
 {
-    std::string line = "{\"schema\":\"anic.registry.v1\",\"bench\":\"";
+    std::string line = "{\"schema\":\"anic.registry.v2\",\"bench\":\"";
     line += bench;
     line += "\",\"crypto_impl\":\"";
     line += crypto::activeCryptoImplName();

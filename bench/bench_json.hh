@@ -11,7 +11,7 @@
  * StatsRegistry (every component instrument, uniform schema across
  * all benches and examples):
  *
- *   {"schema":"anic.registry.v1","bench":"fig13","crypto_impl":"hw",
+ *   {"schema":"anic.registry.v2","bench":"fig13","crypto_impl":"hw",
  *    "scenario":{"variant":"offload+zc"},"stats":{"srv":{"nic0":...}}}
  *
  * Two call styles:
@@ -61,7 +61,7 @@ namespace detail {
 std::string recordLine(const char *bench, const char *metric, double value,
                        JsonExtra extra);
 
-/** Builds one anic.registry.v1 snapshot line from @p reg. */
+/** Builds one anic.registry.v2 snapshot line from @p reg. */
 std::string snapshotLine(const std::string &bench,
                          const ScenarioTags &scenario,
                          const sim::StatsRegistry &reg);

@@ -127,8 +127,11 @@ class Core
     sim::Tick freeAt_ = 0;
 
     // thread_local: each JobRunner worker simulates its own world, so
-    // "the currently executing core" is a per-thread notion.
-    static thread_local Core *sCurrent_;
+    // "the currently executing core" is a per-thread notion. Defined
+    // inline with a constant initializer: with an out-of-line
+    // definition, other translation units reach it through GCC's TLS
+    // wrapper function, which UBSan reports as a null-pointer load.
+    static inline thread_local Core *sCurrent_ = nullptr;
 
     double pendingCycles_ = 0.0; // charged by the current item
     sim::Gauge busyCycles_;

@@ -8,21 +8,6 @@ namespace anic::iscsi {
 
 namespace {
 
-uint32_t
-getBe24(const uint8_t *p)
-{
-    return (static_cast<uint32_t>(p[0]) << 16) |
-           (static_cast<uint32_t>(p[1]) << 8) | p[2];
-}
-
-void
-putBe24(uint8_t *p, uint32_t v)
-{
-    p[0] = static_cast<uint8_t>(v >> 16);
-    p[1] = static_cast<uint8_t>(v >> 8);
-    p[2] = static_cast<uint8_t>(v);
-}
-
 bool
 knownOpcode(uint8_t op)
 {
@@ -41,7 +26,7 @@ makePdu(const IscsiWireConfig &wc, uint8_t opcode, uint8_t flags,
     out[0] = opcode;
     out[1] = flags;
     // [2..4] stay zero: reserved + totalAhsLength (magic pattern).
-    putBe24(out.data() + 5, dsl);
+    putBe(out.data() + 5, dsl, 3);
     return out;
 }
 
@@ -65,7 +50,7 @@ parseBhsPrefix(const IscsiWireConfig &wc, ByteView h, size_t maxDsl)
         return std::nullopt;
     if (h[2] != 0 || h[3] != 0 || h[4] != 0)
         return std::nullopt; // reserved bytes + TotalAHSLength
-    uint32_t dsl = getBe24(h.data() + 5);
+    uint32_t dsl = static_cast<uint32_t>(getBe(h.data() + 5, 3));
     if (dsl > maxDsl)
         return std::nullopt;
     // Data-less opcodes never carry a segment; a nonzero DSL on a
@@ -82,7 +67,7 @@ parseBhs(ByteView pdu)
     IscsiBhs b;
     b.opcode = pdu[0];
     b.flags = pdu[1];
-    b.dsl = getBe24(pdu.data() + 5);
+    b.dsl = static_cast<uint32_t>(getBe(pdu.data() + 5, 3));
     b.lun = getLe(pdu.data() + 8, 8);
     b.itt = static_cast<uint32_t>(getLe32(pdu.data() + 16));
     b.edtl = static_cast<uint32_t>(getLe32(pdu.data() + 20));
@@ -150,75 +135,25 @@ verifyHdgst(const IscsiWireConfig &wc, ByteView pdu)
     return crc == static_cast<uint32_t>(getLe32(pdu.data() + kBhsSize));
 }
 
-void
-IscsiAssembler::ingest(const tcp::RxSegment &seg,
-                       std::function<void(IscsiRxPdu &&)> sink)
+core::PduLayout
+IscsiTrait::layout(const IscsiWireConfig &wc, ByteView prefix)
 {
-    size_t off = 0;
-    const size_t n = seg.data.size();
-    while (off < n && !error_) {
-        if (!hdrComplete_) {
-            if (hdr8_.empty() && have_ == 0)
-                pduStartOff_ = seg.streamOff + off;
-            size_t need = 8 - hdr8_.size();
-            size_t take = std::min(need, n - off);
-            hdr8_.insert(hdr8_.end(), seg.data.begin() + off,
-                         seg.data.begin() + off + take);
-            off += take;
-            have_ += take;
-            consumed_ = seg.streamOff + off;
-            if (hdr8_.size() < 8)
-                break;
-            std::optional<uint64_t> wire_len =
-                parseBhsPrefix(wc_, hdr8_, maxDsl_);
-            if (!wire_len) {
-                error_ = true;
-                return;
-            }
-            cur_.wireLen = *wire_len;
-            cur_.bytes.resize(*wire_len);
-            std::memcpy(cur_.bytes.data(), hdr8_.data(), 8);
-            cur_.slices.clear();
-            hdrComplete_ = true;
-            continue;
-        }
+    ANIC_ASSERT(parseBhsPrefix(wc, prefix, core::kMaxStoragePdu).has_value(),
+                "PDU layout of an invalid BHS");
+    core::PduLayout l;
+    l.subHdrEnd = kBhsSize;
+    l.dataStart = static_cast<uint32_t>(kBhsSize + wc.hdgstLen());
+    l.dataEnd = l.dataStart + getBe(prefix.data() + 5, 3);
+    l.isData = prefix[0] == kOpDataIn || prefix[0] == kOpDataOut;
+    l.dataDigest = l.isData && wc.dataDigest;
+    return l;
+}
 
-        size_t want = static_cast<size_t>(cur_.wireLen) - have_;
-        size_t take = std::min(want, n - off);
-        std::memcpy(cur_.bytes.data() + have_, seg.data.data() + off, take);
-
-        IscsiPduSlice slice;
-        slice.pduOff = have_;
-        slice.len = take;
-        net::VerifyOutcome v = seg.meta.verifyOf(net::L5Kind::Iscsi);
-        slice.digestChecked =
-            seg.meta.offloaded && v != net::VerifyOutcome::Incomplete;
-        slice.digestOk =
-            slice.digestChecked && v != net::VerifyOutcome::Failed;
-        for (const net::PlacedRange &r : seg.meta.placed) {
-            uint64_t s = std::max<uint64_t>(r.payloadOff, off);
-            uint64_t e = std::min<uint64_t>(r.payloadOff + r.len, off + take);
-            if (s < e) {
-                slice.placed.push_back(net::PlacedRange{
-                    static_cast<uint32_t>(have_ + (s - off)),
-                    static_cast<uint32_t>(e - s)});
-            }
-        }
-        cur_.slices.push_back(std::move(slice));
-
-        have_ += take;
-        off += take;
-        consumed_ = seg.streamOff + off;
-        if (have_ == cur_.wireLen) {
-            IscsiRxPdu done = std::move(cur_);
-            cur_ = IscsiRxPdu{};
-            hdr8_.clear();
-            hdrComplete_ = false;
-            have_ = 0;
-            pduIdx_++;
-            sink(std::move(done));
-        }
-    }
+bool
+IscsiTrait::samePdu(const uint8_t *cachedPrefix, ByteView prefix)
+{
+    return prefix[0] == cachedPrefix[0] &&
+           std::memcmp(prefix.data() + 5, cachedPrefix + 5, 3) == 0;
 }
 
 } // namespace anic::iscsi

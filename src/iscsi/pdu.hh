@@ -28,12 +28,10 @@
 #ifndef ANIC_ISCSI_PDU_HH
 #define ANIC_ISCSI_PDU_HH
 
-#include <functional>
 #include <optional>
 
+#include "core/storage_l5p.hh"
 #include "crypto/crc32c.hh"
-#include "net/packet.hh"
-#include "tcp/socket.hh"
 #include "util/bytes.hh"
 
 namespace anic::iscsi {
@@ -119,74 +117,41 @@ Bytes buildDataPdu(const IscsiWireConfig &wc, uint8_t opcode,
 /** Verifies the header digest (true when absent by config). */
 bool verifyHdgst(const IscsiWireConfig &wc, ByteView pdu);
 
-/** One contiguous chunk of a reassembled PDU with its rx-offload
- *  verdicts (mirrors nvmetcp::PduSlice). */
-struct IscsiPduSlice
-{
-    uint64_t pduOff = 0;
-    size_t len = 0;
-    bool digestChecked = false;
-    bool digestOk = false;
-    std::vector<net::PlacedRange> placed; ///< PDU-relative
-};
-
-/** A reassembled PDU plus per-chunk offload metadata. */
-struct IscsiRxPdu
-{
-    Bytes bytes;
-    uint64_t wireLen = 0;
-    std::vector<IscsiPduSlice> slices;
-
-    /** True iff every chunk was digest-checked by the NIC and none
-     *  failed — software may skip both digests. */
-    bool
-    digestFullyOffloaded() const
-    {
-        if (slices.empty())
-            return false;
-        for (const IscsiPduSlice &s : slices)
-            if (!s.digestChecked || !s.digestOk)
-                return false;
-        return true;
-    }
-};
+/** Which offloads an iSCSI endpoint requests from the NIC. */
+using IscsiOffloadConfig = core::StorageOffloadConfig;
 
 /**
- * Streams TCP segments into complete PDUs, preserving per-chunk
- * offload metadata. Framing loss (invalid BHS prefix) sets error().
+ * iSCSI's storage-kit trait: the first 8 BHS bytes frame the PDU, the
+ * rest of the BHS names the ITT and (Data-In/-Out) the buffer offset.
+ * The NIC verifies the header digest too: the BHS is fixed-size, so
+ * its CRC runs inline with the rest of the PDU.
  */
-class IscsiAssembler
+struct IscsiTrait
 {
-  public:
-    explicit IscsiAssembler(const IscsiWireConfig &wc,
-                            size_t maxDsl = 2 << 20)
-        : wc_(wc), maxDsl_(maxDsl)
+    using Wire = IscsiWireConfig;
+    static constexpr net::L5Kind kKind = net::L5Kind::Iscsi;
+    static constexpr bool kNicVerifiesHdgst = true;
+
+    static std::optional<uint64_t>
+    wireLen(const Wire &wc, ByteView prefix)
     {
+        return parseBhsPrefix(wc, prefix, core::kMaxStoragePdu);
     }
 
-    void ingest(const tcp::RxSegment &seg,
-                std::function<void(IscsiRxPdu &&)> sink);
+    static core::PduLayout layout(const Wire &wc, ByteView prefix);
 
-    bool error() const { return error_; }
-    uint64_t curPduStartOff() const { return pduStartOff_; }
-    uint64_t streamConsumed() const { return consumed_; }
-    bool midPdu() const { return have_ > 0; }
+    /** ITT, BHS bytes [16, 20). */
+    static uint32_t tag(const uint8_t *subHdr) { return getLe32(subHdr + 8); }
 
-    /** PDUs fully delivered; echoed on resync confirmation so the
-     *  NIC renumbers messages consistently with software. */
-    uint64_t pdusDelivered() const { return pduIdx_; }
+    /** Buffer offset, BHS bytes [40, 44). */
+    static uint32_t
+    bufferOffset(const uint8_t *subHdr)
+    {
+        return getLe32(subHdr + 32);
+    }
 
-  private:
-    IscsiWireConfig wc_;
-    size_t maxDsl_;
-    IscsiRxPdu cur_;
-    Bytes hdr8_;
-    bool hdrComplete_ = false;
-    size_t have_ = 0;
-    uint64_t pduStartOff_ = 0;
-    uint64_t consumed_ = 0;
-    uint64_t pduIdx_ = 0;
-    bool error_ = false;
+    /** Same opcode and data segment length. */
+    static bool samePdu(const uint8_t *cachedPrefix, ByteView prefix);
 };
 
 } // namespace anic::iscsi

@@ -23,13 +23,8 @@
 #ifndef ANIC_ISCSI_SESSION_HH
 #define ANIC_ISCSI_SESSION_HH
 
-#include <deque>
 #include <unordered_map>
 
-#include "core/offload_device.hh"
-#include "core/tx_msg_tracker.hh"
-#include "host/storage.hh"
-#include "iscsi/iscsi_engine.hh"
 #include "iscsi/pdu.hh"
 
 namespace anic::iscsi {
@@ -49,16 +44,12 @@ struct IscsiInitiatorStats
     sim::Counter resyncConfirmed;
 };
 
-class IscsiInitiator : private core::L5pCallbacks
+class IscsiInitiator : public core::StorageSession<IscsiTrait>
 {
   public:
     IscsiInitiator(tcp::StreamSocket &sock, IscsiWireConfig wc,
                    IscsiOffloadConfig ocfg,
                    IscsiInitiatorStats *aggregate = nullptr);
-    ~IscsiInitiator() override;
-
-    /** Installs NIC offload contexts (unified l5o_create binding). */
-    void enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn);
 
     using ReadDone = std::function<void(bool ok, host::BlockBufferPtr)>;
     using WriteDone = std::function<void(bool ok)>;
@@ -73,8 +64,6 @@ class IscsiInitiator : private core::L5pCallbacks
 
     const IscsiInitiatorStats &stats() const { return stats_; }
     size_t outstanding() const { return tasks_.size(); }
-    bool desynced() const { return dead_; }
-    const nic::FsmStats *rxFsmStats() const;
 
   private:
     struct Task
@@ -91,17 +80,13 @@ class IscsiInitiator : private core::L5pCallbacks
 
     uint32_t allocItt();
     void sendDataOut(uint32_t itt, const Task &task, uint64_t contentSeed);
-    void enqueuePdu(Bytes pdu);
-    void flushSendQueue();
-    void onReadable();
-    void onPdu(IscsiRxPdu &&pdu);
     void completeTask(uint32_t itt, bool ok);
     void failAllOutstanding();
-    void checkPendingResync();
 
-    // L5pCallbacks.
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
+    // StorageSession hooks.
+    void onPdu(core::StoragePdu &&pdu) override;
+    void onFramingLost() override { failAllOutstanding(); }
+    void countResync(bool confirmed) override;
 
     void
     count(sim::Counter IscsiInitiatorStats::*m, uint64_t n = 1)
@@ -111,33 +96,8 @@ class IscsiInitiator : private core::L5pCallbacks
             (aggregate_->*m) += n;
     }
 
-    tcp::StreamSocket &sock_;
-    IscsiWireConfig wc_;
-    IscsiOffloadConfig ocfg_;
-
-    core::L5Offload *l5o_ = nullptr;
-    tcp::TcpConnection *conn_ = nullptr;
-    IscsiRxEngine *rxEngine_ = nullptr;
-
     std::unordered_map<uint32_t, Task> tasks_;
     uint32_t nextItt_ = 1;
-
-    struct SendEntry
-    {
-        Bytes bytes;
-        bool added = false;
-    };
-    std::deque<SendEntry> sendq_;
-    size_t sendqOff_ = 0;
-
-    IscsiAssembler assembler_;
-    bool dead_ = false;
-    core::TxMsgTracker txMap_;
-    uint64_t txMsgIdx_ = 0;
-
-    bool resyncPending_ = false;
-    uint32_t resyncSeq_ = 0;
-    uint64_t resyncOff_ = 0;
 
     IscsiInitiatorStats stats_;
     IscsiInitiatorStats *aggregate_ = nullptr;
@@ -159,20 +119,17 @@ struct IscsiTargetStats
     sim::Counter resyncConfirmed;
 };
 
-class IscsiTarget : private core::L5pCallbacks
+class IscsiTarget : public core::StorageSession<IscsiTrait>
 {
   public:
     IscsiTarget(tcp::StreamSocket &sock, host::NvmeDrive &drive,
                 IscsiWireConfig wc);
-    ~IscsiTarget() override;
 
     /** Installs NIC offload contexts (unified l5o_create binding). */
     void enableOffload(core::OffloadDevice &dev, tcp::TcpConnection &conn,
                        IscsiOffloadConfig ocfg);
 
     const IscsiTargetStats &stats() const { return stats_; }
-    bool desynced() const { return dead_; }
-    const nic::FsmStats *rxFsmStats() const;
 
   private:
     struct PendingWrite
@@ -184,46 +141,14 @@ class IscsiTarget : private core::L5pCallbacks
         host::BlockBufferPtr buffer;
     };
 
-    void onReadable();
-    void onPdu(IscsiRxPdu &&pdu);
-    void onDataOut(IscsiRxPdu &pdu, const IscsiBhs &bhs);
+    void onPdu(core::StoragePdu &&pdu) override;
+    void countResync(bool confirmed) override;
+    void onDataOut(const core::StoragePdu &pdu, const IscsiBhs &bhs);
     void serveRead(const IscsiBhs &bhs);
     void finishWrite(uint32_t itt);
-    void enqueue(Bytes pdu);
-    void flush();
-    void checkPendingResync();
 
-    // L5pCallbacks.
-    std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) override;
-    void resyncRxReq(uint32_t tcpsn) override;
-
-    tcp::StreamSocket &sock_;
     host::NvmeDrive &drive_;
-    IscsiWireConfig wc_;
-    IscsiOffloadConfig ocfg_;
-
-    core::L5Offload *l5o_ = nullptr;
-    tcp::TcpConnection *conn_ = nullptr;
-    IscsiRxEngine *rxEngine_ = nullptr;
-
     std::unordered_map<uint32_t, PendingWrite> writes_;
-
-    struct SendEntry
-    {
-        Bytes bytes;
-        bool added = false;
-    };
-    std::deque<SendEntry> sendq_;
-    size_t sendqOff_ = 0;
-
-    IscsiAssembler assembler_;
-    bool dead_ = false;
-    core::TxMsgTracker txMap_;
-    uint64_t txMsgIdx_ = 0;
-
-    bool resyncPending_ = false;
-    uint32_t resyncSeq_ = 0;
-    uint64_t resyncOff_ = 0;
 
     IscsiTargetStats stats_;
 };

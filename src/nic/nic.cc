@@ -147,27 +147,12 @@ Nic::linkInstruments()
     scope_.link("fsm.dwellTrackingNs",
                 fsmDwellNs_[static_cast<int>(FsmState::Tracking)]);
 
-    // Aggregate engine work plus one scope per engine kind. The
-    // legacy aggregate names (tagsVerified/crcFailures/...) stay
-    // linked as roll-ups of the corresponding kind banks so existing
-    // snapshot consumers keep parsing.
+    // Aggregate engine work plus one scope per engine kind.
     scope_.link("engine.bytesTransformed", engineAgg_.total.bytesTransformed);
     scope_.link("engine.bytesChecked", engineAgg_.total.bytesChecked);
     scope_.link("engine.bytesPlaced", engineAgg_.total.bytesPlaced);
     scope_.link("engine.verifiedOk", engineAgg_.total.verifiedOk);
     scope_.link("engine.verifyFailures", engineAgg_.total.verifyFailures);
-    scope_.link("engine.tagsVerified",
-                engineAgg_.kind[static_cast<size_t>(net::L5Kind::Tls)]
-                    .verifiedOk);
-    scope_.link("engine.tagFailures",
-                engineAgg_.kind[static_cast<size_t>(net::L5Kind::Tls)]
-                    .verifyFailures);
-    scope_.link("engine.crcsVerified",
-                engineAgg_.kind[static_cast<size_t>(net::L5Kind::Nvme)]
-                    .verifiedOk);
-    scope_.link("engine.crcFailures",
-                engineAgg_.kind[static_cast<size_t>(net::L5Kind::Nvme)]
-                    .verifyFailures);
     for (size_t k = 1; k < net::kL5KindCount; k++) {
         std::string stem = "engine.";
         stem += net::l5KindName(static_cast<net::L5Kind>(k));

@@ -198,91 +198,35 @@ parseR2tHdr(ByteView pdu)
     return r;
 }
 
-uint64_t
-RxPdu::placedDataBytes() const
+std::optional<uint64_t>
+NvmeTrait::wireLen(const WireConfig &, ByteView prefix)
 {
-    uint64_t total = 0;
-    for (const PduSlice &s : slices) {
-        for (const net::PlacedRange &r : s.placed)
-            total += r.len;
-    }
-    return total;
+    std::optional<CommonHdr> ch = parseCommonHdr(prefix, core::kMaxStoragePdu);
+    if (!ch)
+        return std::nullopt;
+    return ch->plen;
 }
 
-void
-PduAssembler::ingest(const tcp::RxSegment &seg,
-                     std::function<void(RxPdu &&)> sink)
+core::PduLayout
+NvmeTrait::layout(const WireConfig &wc, ByteView prefix)
 {
-    size_t off = 0;
-    const size_t n = seg.data.size();
-    while (off < n && !error_) {
-        if (!hdrComplete_) {
-            if (hdr8_.empty() && have_ == 0)
-                pduStartOff_ = seg.streamOff + off;
-            size_t need = kCommonHdrSize - hdr8_.size();
-            size_t take = std::min(need, n - off);
-            hdr8_.insert(hdr8_.end(), seg.data.begin() + off,
-                         seg.data.begin() + off + take);
-            off += take;
-            have_ += take;
-            consumed_ = seg.streamOff + off;
-            if (hdr8_.size() < kCommonHdrSize)
-                break;
-            std::optional<CommonHdr> ch = parseCommonHdr(hdr8_, maxPdu_);
-            if (!ch) {
-                error_ = true;
-                return;
-            }
-            cur_.ch = *ch;
-            cur_.bytes.resize(ch->plen);
-            std::memcpy(cur_.bytes.data(), hdr8_.data(), kCommonHdrSize);
-            cur_.slices.clear();
-            hdrComplete_ = true;
-            continue;
-        }
+    std::optional<CommonHdr> ch = parseCommonHdr(prefix, core::kMaxStoragePdu);
+    ANIC_ASSERT(ch.has_value(), "PDU layout of an invalid common header");
+    core::PduLayout l;
+    l.subHdrEnd = ch->hlen;
+    l.dataStart = ch->pdo;
+    l.dataEnd = static_cast<uint64_t>(ch->pdo) + ch->dataLen();
+    l.isData = ch->type == kPduC2HData || ch->type == kPduH2CData;
+    l.dataDigest = l.isData && wc.dataDigest;
+    return l;
+}
 
-        size_t want = cur_.ch.plen - have_;
-        size_t take = std::min(want, n - off);
-        std::memcpy(cur_.bytes.data() + have_, seg.data.data() + off, take);
-
-        PduSlice slice;
-        slice.pduOff = have_;
-        slice.len = take;
-        // A chunk's digest counts as NIC-checked when the packet went
-        // through the offload path and no digest that completed in it
-        // was left uncovered; it passed unless a completed check
-        // mismatched. Chunks with no completed digest are vacuously OK
-        // (the verdict rides on the chunk holding the trailer).
-        net::VerifyOutcome v = seg.meta.verifyOf(net::L5Kind::Nvme);
-        slice.digestChecked =
-            seg.meta.offloaded && v != net::VerifyOutcome::Incomplete;
-        slice.digestOk =
-            slice.digestChecked && v != net::VerifyOutcome::Failed;
-        for (const net::PlacedRange &r : seg.meta.placed) {
-            // Convert segment-relative placement to PDU-relative.
-            uint64_t s = std::max<uint64_t>(r.payloadOff, off);
-            uint64_t e = std::min<uint64_t>(r.payloadOff + r.len, off + take);
-            if (s < e) {
-                slice.placed.push_back(net::PlacedRange{
-                    static_cast<uint32_t>(have_ + (s - off)),
-                    static_cast<uint32_t>(e - s)});
-            }
-        }
-        cur_.slices.push_back(std::move(slice));
-
-        have_ += take;
-        off += take;
-        consumed_ = seg.streamOff + off;
-        if (have_ == cur_.ch.plen) {
-            RxPdu done = std::move(cur_);
-            cur_ = RxPdu{};
-            hdr8_.clear();
-            hdrComplete_ = false;
-            have_ = 0;
-            pduIdx_++;
-            sink(std::move(done));
-        }
-    }
+bool
+NvmeTrait::samePdu(const uint8_t *cachedPrefix, ByteView prefix)
+{
+    return prefix[0] == cachedPrefix[0] && prefix[1] == cachedPrefix[1] &&
+           prefix[3] == cachedPrefix[3] &&
+           getLe32(prefix.data() + 4) == getLe32(cachedPrefix + 4);
 }
 
 } // namespace anic::nvmetcp

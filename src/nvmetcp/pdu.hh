@@ -30,11 +30,10 @@
 #ifndef ANIC_NVMETCP_PDU_HH
 #define ANIC_NVMETCP_PDU_HH
 
-#include <functional>
 #include <optional>
 
+#include "core/storage_l5p.hh"
 #include "crypto/crc32c.hh"
-#include "tcp/socket.hh"
 #include "util/bytes.hh"
 
 namespace anic::nvmetcp {
@@ -186,86 +185,36 @@ R2tHdr parseR2tHdr(ByteView pdu);
  */
 bool verifyHdgst(const WireConfig &wc, ByteView pdu, const CommonHdr &ch);
 
-/** Offload flags of one contiguous chunk of an assembled PDU. */
-struct PduSlice
-{
-    size_t pduOff = 0;
-    size_t len = 0;
-    bool digestChecked = false;
-    bool digestOk = false;
-    /** Placed ranges, PDU-relative. */
-    std::vector<net::PlacedRange> placed;
-};
-
-/** A fully reassembled PDU with per-packet offload results. */
-struct RxPdu
-{
-    CommonHdr ch;
-    Bytes bytes; ///< full wire bytes [0, plen)
-    std::vector<PduSlice> slices;
-
-    /** True iff the NIC checked (and passed) the data digest on every
-     *  chunk — the "crc_ok bits of all SKBs" condition. */
-    bool
-    digestFullyOffloaded() const
-    {
-        if (slices.empty())
-            return false;
-        for (const PduSlice &s : slices) {
-            if (!s.digestChecked || !s.digestOk)
-                return false;
-        }
-        return true;
-    }
-
-    /** Total bytes of the data region already placed by the NIC. */
-    uint64_t placedDataBytes() const;
-};
+/** Which offloads an NVMe-TCP endpoint requests from the NIC. */
+using NvmeOffloadConfig = core::StorageOffloadConfig;
 
 /**
- * Incremental PDU reassembler: feed in-order stream segments, get
- * complete PDUs. Mirrors what the in-kernel nvme-tcp receive path
- * does, including tracking which chunks the NIC already handled.
+ * NVMe-TCP's storage-kit trait: the common header frames the PDU, the
+ * data PDU sub-header (C2H/H2CData) names the CID and data offset.
+ * Header digests stay in software: they cover at most 32 bytes and
+ * are not worth offloading.
  */
-class PduAssembler
+struct NvmeTrait
 {
-  public:
-    explicit PduAssembler(const WireConfig &wc, size_t maxPdu = 2 << 20)
-        : wc_(wc), maxPdu_(maxPdu)
+    using Wire = WireConfig;
+    static constexpr net::L5Kind kKind = net::L5Kind::Nvme;
+    static constexpr bool kNicVerifiesHdgst = false;
+
+    static std::optional<uint64_t> wireLen(const Wire &wc, ByteView prefix);
+    static core::PduLayout layout(const Wire &wc, ByteView prefix);
+
+    /** CID, PDU bytes [8, 10). */
+    static uint32_t tag(const uint8_t *subHdr) { return getLe16(subHdr); }
+
+    /** Data offset, PDU bytes [12, 16). */
+    static uint32_t
+    bufferOffset(const uint8_t *subHdr)
     {
+        return getLe32(subHdr + 4);
     }
 
-    /** Feeds a segment; invokes @p sink for each completed PDU. */
-    void ingest(const tcp::RxSegment &seg,
-                std::function<void(RxPdu &&)> sink);
-
-    bool error() const { return error_; }
-
-    /** Stream offset where the next (or current) PDU starts. */
-    uint64_t curPduStartOff() const { return pduStartOff_; }
-
-    /** Stream offset of the next unconsumed byte. */
-    uint64_t streamConsumed() const { return consumed_; }
-
-    /** True if mid-PDU (header or body partially collected). */
-    bool midPdu() const { return have_ > 0; }
-
-    /** Index of the next (or current) PDU: PDUs fully delivered so
-     *  far. Echoed on resync confirmation so the NIC renumbers its
-     *  messages consistently with software's count. */
-    uint64_t pdusDelivered() const { return pduIdx_; }
-
-  private:
-    WireConfig wc_;
-    size_t maxPdu_;
-    RxPdu cur_;
-    Bytes hdr8_;
-    bool hdrComplete_ = false;
-    size_t have_ = 0;
-    uint64_t pduStartOff_ = 0;
-    uint64_t consumed_ = 0;
-    uint64_t pduIdx_ = 0;
-    bool error_ = false;
+    /** Same type, flags, pdo and plen (hlen follows from the type). */
+    static bool samePdu(const uint8_t *cachedPrefix, ByteView prefix);
 };
 
 } // namespace anic::nvmetcp

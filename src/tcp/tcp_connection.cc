@@ -594,6 +594,22 @@ TcpConnection::sendAck()
     sendFlagsPacket(kTcpAck, sndNxt_, true);
 }
 
+// Timer closures hold the stack and the connection's slab handle,
+// never `this`: the stack may free (and recycle) the slot while the
+// event is queued, and a stale handle then resolves to null. Same
+// events as capturing `this`, so simulated time is unaffected.
+template <typename Fn>
+sim::Simulator::Callback
+TcpConnection::timerEvent(Fn fn)
+{
+    return [stack = &stack_, core = &core_, h = handle_, fn] {
+        core->post([stack, h, fn] {
+            if (TcpConnection *c = stack->connArena_.get(h))
+                fn(*c);
+        });
+    };
+}
+
 void
 TcpConnection::scheduleDelayedAck()
 {
@@ -601,15 +617,14 @@ TcpConnection::scheduleDelayedAck()
         return;
     delayedAckScheduled_ = true;
     uint64_t gen = ++delAckGeneration_;
-    stack_.sim().schedule(cfg_.delayedAckTimeout, [this, gen] {
-        core_.post([this, gen] {
-            if (gen != delAckGeneration_)
-                return;
-            delayedAckScheduled_ = false;
-            if (unackedDataPkts_ > 0)
-                sendAck();
-        });
-    });
+    stack_.sim().schedule(cfg_.delayedAckTimeout,
+                          timerEvent([gen](TcpConnection &c) {
+        if (gen != c.delAckGeneration_)
+            return;
+        c.delayedAckScheduled_ = false;
+        if (c.unackedDataPkts_ > 0)
+            c.sendAck();
+    }));
 }
 
 void
@@ -626,9 +641,9 @@ TcpConnection::armRto()
         return;
     rtoArmed_ = true;
     uint64_t gen = ++rtoGeneration_;
-    stack_.sim().scheduleAt(rtoDeadline_, [this, gen] {
-        core_.post([this, gen] { onRtoFire(gen); });
-    });
+    stack_.sim().scheduleAt(rtoDeadline_, timerEvent([gen](TcpConnection &c) {
+        c.onRtoFire(gen);
+    }));
 }
 
 void
@@ -648,9 +663,9 @@ TcpConnection::onRtoFire(uint64_t generation)
         // The deadline moved (acks arrived): re-arm for the rest.
         rtoArmed_ = true;
         uint64_t gen = ++rtoGeneration_;
-        stack_.sim().scheduleAt(rtoDeadline_, [this, gen] {
-            core_.post([this, gen] { onRtoFire(gen); });
-        });
+        stack_.sim().scheduleAt(rtoDeadline_, timerEvent([gen](TcpConnection &c) {
+            c.onRtoFire(gen);
+        }));
         return;
     }
 

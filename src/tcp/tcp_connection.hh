@@ -27,6 +27,7 @@
 #include "tcp/congestion.hh"
 #include "tcp/seq.hh"
 #include "tcp/socket.hh"
+#include "util/slab.hh"
 
 namespace anic::tcp {
 
@@ -209,6 +210,13 @@ class TcpConnection : public StreamSocket
         delayedAckScheduled_ = false;
     }
     void onRtoFire(uint64_t generation);
+
+    /** Wraps timer work @p fn(conn) into a simulator event that posts
+     *  it to this connection's core, unless the connection was
+     *  destroyed first (see the definition). */
+    template <typename Fn>
+    sim::Simulator::Callback timerEvent(Fn fn);
+
     uint32_t flightSize() const { return sndNxt_ - sndUna_; }
     uint32_t sndLimit() const;
 
@@ -239,6 +247,7 @@ class TcpConnection : public StreamSocket
 
     TcpStack &stack_;
     host::Core &core_;
+    util::SlabHandle handle_; ///< this connection's slot in the stack
     Config cfg_;
     net::FlowKey local_; // srcIp/Port = this endpoint
     State state_ = State::Closed;

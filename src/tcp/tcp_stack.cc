@@ -89,9 +89,11 @@ TcpStack::createConnection(const net::FlowKey &local,
     host::Core &c = core != nullptr ? *core : steer(local);
     uint32_t iss = static_cast<uint32_t>(rng_.next());
     util::SlabHandle h = connArena_.alloc(*this, c, cfg, local, iss);
+    TcpConnection &conn = connArena_.at(h);
+    conn.handle_ = h;
     conns_.emplace(local, h);
     connections_.set(static_cast<double>(conns_.size()));
-    return connArena_.at(h);
+    return conn;
 }
 
 TcpConnection &

@@ -121,49 +121,6 @@ TEST(IscsiPdu, DigestsOptionalByConfig)
     EXPECT_TRUE(verifyHdgst(wc, pdu)); // vacuously true
 }
 
-TEST(IscsiPdu, AssemblerHandlesArbitrarySegmentation)
-{
-    IscsiWireConfig wc;
-    Bytes stream;
-    std::vector<size_t> lens;
-    Rng rng(5);
-    for (int i = 0; i < 20; i++) {
-        Bytes pdu;
-        if (i % 3 == 0) {
-            IscsiBhs bhs;
-            bhs.itt = static_cast<uint32_t>(i);
-            bhs.scsiOp = kScsiRead;
-            bhs.length = 4096;
-            pdu = buildScsiCmd(wc, bhs);
-        } else {
-            Bytes data(rng.range(1, 5000));
-            fillDeterministic(data, i, 0);
-            IscsiBhs dh;
-            dh.itt = static_cast<uint32_t>(i);
-            pdu = buildDataPdu(wc, kOpDataIn, dh, data, true);
-        }
-        lens.push_back(pdu.size());
-        stream.insert(stream.end(), pdu.begin(), pdu.end());
-    }
-
-    IscsiAssembler as(wc);
-    std::vector<IscsiRxPdu> out;
-    uint64_t off = 0;
-    while (off < stream.size()) {
-        size_t n = std::min<size_t>(rng.range(1, 1460), stream.size() - off);
-        tcp::RxSegment seg;
-        seg.streamOff = off;
-        seg.data.assign(stream.begin() + off, stream.begin() + off + n);
-        as.ingest(seg, [&](IscsiRxPdu &&p) { out.push_back(std::move(p)); });
-        off += n;
-    }
-    ASSERT_FALSE(as.error());
-    ASSERT_EQ(out.size(), 20u);
-    EXPECT_EQ(as.pdusDelivered(), 20u);
-    for (int i = 0; i < 20; i++)
-        EXPECT_EQ(out[i].bytes.size(), lens[i]);
-}
-
 // ----------------------------------------------------- fabric fixture
 
 /**
