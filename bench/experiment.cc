@@ -61,13 +61,6 @@ ExperimentBuilder::nicCoalescing(uint32_t pkts, sim::Tick delay)
 }
 
 ExperimentBuilder &
-ExperimentBuilder::nicCtxPolicy(nic::CtxPolicy p)
-{
-    cfg_.nicCfg.ctxPolicy = p;
-    return *this;
-}
-
-ExperimentBuilder &
 ExperimentBuilder::nicCtxCacheCapacity(size_t contexts)
 {
     cfg_.nicCfg.ctxCacheCapacity = contexts;

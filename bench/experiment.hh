@@ -68,8 +68,6 @@ class ExperimentBuilder
     /** Interrupt coalescing: fire after @p pkts completions or
      *  @p delay after the first, whichever comes first. */
     ExperimentBuilder &nicCoalescing(uint32_t pkts, sim::Tick delay);
-    /** NIC context-cache eviction policy (flow-scale studies). */
-    ExperimentBuilder &nicCtxPolicy(nic::CtxPolicy p);
     /** NIC context-cache capacity in contexts (default 20000). */
     ExperimentBuilder &nicCtxCacheCapacity(size_t contexts);
     ExperimentBuilder &link(const net::Link::Config &lc);

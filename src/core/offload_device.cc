@@ -8,7 +8,10 @@ namespace anic::core {
 class OffloadDevice::OffloadImpl : public L5Offload
 {
   public:
-    OffloadImpl(OffloadDevice &dev, uint64_t id) : dev_(dev), id_(id) {}
+    OffloadImpl(OffloadDevice &dev, L5pCallbacks *cb, host::Core *core)
+        : dev_(dev), callbacks_(cb), core_(core)
+    {
+    }
 
     void
     resyncRxResp(uint32_t tcpsn, bool ok, uint64_t msgIdx) override
@@ -26,7 +29,7 @@ class OffloadDevice::OffloadImpl : public L5Offload
         dev_.nic_.rxResyncResponse(rxCtx_, req, ok, msgIdx);
     }
 
-    void destroy() override { dev_.destroyOffload(id_); }
+    void destroy() override { dev_.destroyOffload(*this); }
 
     nic::L5Engine *
     rxEngine() override
@@ -49,13 +52,14 @@ class OffloadDevice::OffloadImpl : public L5Offload
     }
 
     OffloadDevice &dev_;
-    uint64_t id_;
+    L5pCallbacks *callbacks_;
+    host::Core *core_;
     uint64_t rxCtx_ = 0;
     uint64_t txCtx_ = 0;
     uint64_t pendingReqId_ = 0;
     uint32_t pendingSeq_ = 0;
-    L5pCallbacks *callbacks_ = nullptr;
-    host::Core *core_ = nullptr;
+    /** Software shadow of the NIC tx context's expected sequence. */
+    uint32_t txShadowSeq_ = 0;
 };
 
 OffloadDevice::OffloadDevice(sim::Simulator &sim, nic::Nic &nic,
@@ -71,7 +75,14 @@ OffloadDevice::OffloadDevice(sim::Simulator &sim, nic::Nic &nic,
         });
 }
 
-OffloadDevice::~OffloadDevice() = default;
+OffloadDevice::~OffloadDevice()
+{
+    byTxCtx_.forEach([](uint64_t, OffloadImpl *off) { delete off; });
+    byRxCtx_.forEach([](uint64_t, OffloadImpl *off) {
+        if (off->txCtx_ == 0) // else already deleted through byTxCtx_
+            delete off;
+    });
+}
 
 void
 OffloadDevice::attachStack(tcp::TcpStack *stack)
@@ -89,35 +100,27 @@ OffloadDevice::transmit(net::PacketPtr pkt)
         const net::TcpHeader th = pkt->tcp();
         // The driver shadows the NIC context in software; the NIC's
         // own state only advances when ring entries drain.
-        auto sit = txShadow_.find(pkt->txCtx);
-        ANIC_ASSERT(sit != txShadow_.end(), "unknown tx offload ctx");
-        uint32_t expected = sit->second;
-        if (th.seq != expected) {
+        OffloadImpl **slot = byTxCtx_.find(pkt->txCtx);
+        ANIC_ASSERT(slot != nullptr, "unknown tx offload ctx");
+        OffloadImpl &off = **slot;
+        if (th.seq != off.txShadowSeq_) {
             // §4.2 context recovery: ask the L5P for the enclosing
             // message's state, hand it to the NIC via a special
             // descriptor, then post the packet as usual.
-            auto tit = byTxCtx_.find(pkt->txCtx);
-            auto it = tit == byTxCtx_.end() ? offloads_.end()
-                                            : offloads_.find(tit->second);
-            if (it == offloads_.end()) {
-                txRecoveryFailures_++;
-            } else {
-                OffloadImpl &off = *it->second;
-                std::optional<L5pCallbacks::TxMsgState> st =
-                    off.callbacks_->getTxMsgState(th.seq);
-                ANIC_ASSERT(st.has_value(),
-                            "L5P lost tx message state for unacked seq %u",
-                            th.seq);
-                if (host::Core *cur = host::Core::current())
-                    cur->charge(cur->model().resyncUpcallCost);
-                // The special descriptor must ride the same ring the
-                // data packet will, or the resync could drain after
-                // the packet it is meant to precede.
-                nic_.postTxResync(pkt->txCtx, th.seq, st->msgIdx,
-                                  st->rebuild, nic_.txQueueFor(pkt->flow()));
-            }
+            std::optional<L5pCallbacks::TxMsgState> st =
+                off.callbacks_->getTxMsgState(th.seq);
+            ANIC_ASSERT(st.has_value(),
+                        "L5P lost tx message state for unacked seq %u",
+                        th.seq);
+            if (host::Core *cur = host::Core::current())
+                cur->charge(cur->model().resyncUpcallCost);
+            // The special descriptor must ride the same ring the data
+            // packet will, or the resync could drain after the packet
+            // it is meant to precede.
+            nic_.postTxResync(pkt->txCtx, th.seq, st->msgIdx, st->rebuild,
+                              nic_.txQueueFor(pkt->flow()));
         }
-        sit->second = th.seq + static_cast<uint32_t>(pkt->payloadSize());
+        off.txShadowSeq_ = th.seq + static_cast<uint32_t>(pkt->payloadSize());
     }
     return nic_.transmit(std::move(pkt));
 }
@@ -154,10 +157,10 @@ void
 OffloadDevice::onNicResyncRequest(uint64_t ctxId, uint64_t reqId,
                                   uint32_t tcpSeq)
 {
-    auto it = byRxCtx_.find(ctxId);
-    if (it == byRxCtx_.end())
+    OffloadImpl **slot = byRxCtx_.find(ctxId);
+    if (slot == nullptr)
         return;
-    OffloadImpl *off = it->second;
+    OffloadImpl *off = *slot;
     off->pendingReqId_ = reqId;
     off->pendingSeq_ = tcpSeq;
     host::Core *core = off->core_;
@@ -169,67 +172,35 @@ OffloadDevice::onNicResyncRequest(uint64_t ctxId, uint64_t reqId,
 }
 
 L5Offload *
-OffloadDevice::l5oCreate(L5oParams params)
-{
-    ANIC_ASSERT(params.callbacks != nullptr && params.core != nullptr);
-    uint64_t id = nextOffloadId_++;
-    auto off = std::make_unique<OffloadImpl>(*this, id);
-    off->callbacks_ = params.callbacks;
-    off->core_ = params.core;
-
-    if (params.rxEngine) {
-        off->rxCtx_ = nic_.createRxContext(params.rxFlow,
-                                           std::move(params.rxEngine),
-                                           params.rxTcpsn, params.rxMsgIdx);
-        byRxCtx_[off->rxCtx_] = off.get();
-    }
-    if (params.txEngine) {
-        off->txCtx_ = nic_.createTxContext(std::move(params.txEngine),
-                                           params.txTcpsn, params.txMsgIdx);
-        byTxCtx_[off->txCtx_] = id;
-        txShadow_[off->txCtx_] = params.txTcpsn;
-    }
-
-    L5Offload *handle = off.get();
-    offloads_.emplace(id, std::move(off));
-    return handle;
-}
-
-L5Offload *
 OffloadDevice::l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
                          unsigned dirs, L5pCallbacks *cb, uint64_t rxMsgIdx,
                          uint64_t txMsgIdx)
 {
-    ANIC_ASSERT(dirs != 0);
+    ANIC_ASSERT(dirs != 0 && cb != nullptr);
     const L5ProtocolOps &ops = l5ProtocolOps(st.kind());
-    L5oParams params;
-    params.callbacks = cb;
-    params.core = &conn.core();
+    auto *off = new OffloadImpl(*this, cb, &conn.core());
     if (dirs & kL5Rx) {
         ANIC_ASSERT(ops.makeRx != nullptr,
                     "protocol registered no rx engine factory");
-        params.rxEngine = ops.makeRx(st);
-        params.rxFlow = conn.localFlow().reversed();
-        params.rxTcpsn = conn.rcvNxt();
-        params.rxMsgIdx = rxMsgIdx;
+        off->rxCtx_ = nic_.createRxContext(conn.localFlow().reversed(),
+                                           ops.makeRx(st), conn.rcvNxt(),
+                                           rxMsgIdx);
+        byRxCtx_.emplace(off->rxCtx_, off);
     }
     if (dirs & kL5Tx) {
         ANIC_ASSERT(ops.makeTx != nullptr,
                     "protocol registered no tx engine factory");
-        params.txEngine = ops.makeTx(st);
-        params.txTcpsn = conn.sndNextByteSeq();
-        params.txMsgIdx = txMsgIdx;
+        off->txShadowSeq_ = conn.sndNextByteSeq();
+        off->txCtx_ = nic_.createTxContext(ops.makeTx(st), off->txShadowSeq_,
+                                           txMsgIdx);
+        byTxCtx_.emplace(off->txCtx_, off);
     }
-    return l5oCreate(std::move(params));
+    return off;
 }
 
 void
-OffloadDevice::destroyOffload(uint64_t id)
+OffloadDevice::destroyOffload(OffloadImpl &off)
 {
-    auto it = offloads_.find(id);
-    if (it == offloads_.end())
-        return;
-    OffloadImpl &off = *it->second;
     if (off.rxCtx_ != 0) {
         nic_.destroyRxContext(off.rxCtx_);
         byRxCtx_.erase(off.rxCtx_);
@@ -237,9 +208,8 @@ OffloadDevice::destroyOffload(uint64_t id)
     if (off.txCtx_ != 0) {
         nic_.destroyTxContext(off.txCtx_);
         byTxCtx_.erase(off.txCtx_);
-        txShadow_.erase(off.txCtx_);
     }
-    offloads_.erase(it);
+    delete &off;
 }
 
 } // namespace anic::core

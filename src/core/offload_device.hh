@@ -10,37 +10,13 @@
 #ifndef ANIC_CORE_OFFLOAD_DEVICE_HH
 #define ANIC_CORE_OFFLOAD_DEVICE_HH
 
-#include <unordered_map>
-
 #include "core/l5o.hh"
 #include "nic/nic.hh"
 #include "tcp/net_device.hh"
 #include "tcp/tcp_stack.hh"
+#include "util/flat_map.hh"
 
 namespace anic::core {
-
-/** Parameters for l5o_create. */
-struct L5oParams
-{
-    /** Flow key of *arriving* packets (src = remote peer); required
-     *  when rxEngine is set. */
-    net::FlowKey rxFlow;
-
-    /** Engines (either may be null for one-directional offloads). */
-    std::unique_ptr<nic::L5Engine> rxEngine;
-    std::unique_ptr<nic::L5Engine> txEngine;
-
-    uint32_t rxTcpsn = 0; ///< seq of the next incoming message start
-    uint64_t rxMsgIdx = 0;
-    uint32_t txTcpsn = 0; ///< seq of the next outgoing message start
-    uint64_t txMsgIdx = 0;
-
-    /** L5P upcall sink (must outlive the offload). */
-    L5pCallbacks *callbacks = nullptr;
-
-    /** Core the L5P runs this connection on (for upcall posting). */
-    host::Core *core = nullptr;
-};
 
 /** One NIC port's driver instance. */
 class OffloadDevice : public tcp::NetDevice
@@ -64,16 +40,14 @@ class OffloadDevice : public tcp::NetDevice
     }
 
     // ------------------------------------------------------- l5o
-    /** l5o_create: installs NIC contexts and returns the handle. */
-    L5Offload *l5oCreate(L5oParams params);
-
     /**
-     * Unified l5o_create binding: builds the engines for the static
-     * state's protocol kind (via the registered factories) and
-     * derives flow key and sequence anchors from the connection's
-     * current state. All protocols install through this entrypoint.
-     * @p dirs is a kL5Rx/kL5Tx mask; @p rxMsgIdx / @p txMsgIdx seed
-     * the per-direction message counters (0 for a fresh stream).
+     * l5o_create: installs NIC contexts and returns the handle. Builds
+     * the engines for the static state's protocol kind (via the
+     * registered factories) and derives flow key and sequence anchors
+     * from the connection's current state. All protocols install
+     * through this entrypoint. @p dirs is a kL5Rx/kL5Tx mask;
+     * @p rxMsgIdx / @p txMsgIdx seed the per-direction message
+     * counters (0 for a fresh stream). @p cb must outlive the offload.
      */
     L5Offload *l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
                          unsigned dirs, L5pCallbacks *cb,
@@ -81,29 +55,24 @@ class OffloadDevice : public tcp::NetDevice
 
     nic::Nic &nic() { return nic_; }
 
-    /** Driver-level drop counter (tx resync impossible). */
-    uint64_t txRecoveryFailures() const { return txRecoveryFailures_; }
-
   private:
     class OffloadImpl;
     friend class OffloadImpl;
 
     void onNicRxInterrupt(int queue, nic::Nic::RxBatch pkts);
     void onNicResyncRequest(uint64_t ctxId, uint64_t reqId, uint32_t tcpSeq);
-    void destroyOffload(uint64_t id);
+    void destroyOffload(OffloadImpl &off);
 
     sim::Simulator &sim_;
     nic::Nic &nic_;
     net::IpAddr ip_;
     tcp::TcpStack *stack_ = nullptr;
 
-    // Offloads by tx ctx id (packet tags) and by rx ctx id (upcalls).
-    std::unordered_map<uint64_t, std::unique_ptr<OffloadImpl>> offloads_;
-    std::unordered_map<uint64_t, OffloadImpl *> byRxCtx_;
-    std::unordered_map<uint64_t, uint64_t> byTxCtx_; // tx ctx -> offload id
-    std::unordered_map<uint64_t, uint32_t> txShadow_; // tx ctx -> expected seq
-    uint64_t nextOffloadId_ = 1;
-    uint64_t txRecoveryFailures_ = 0;
+    // Offloads by NIC context id: rx for resync upcalls, tx for the
+    // packet tags. The device owns every offload (the L5P holds a
+    // pointer until destroy()); one with both directions is in both.
+    util::FlatMap<uint64_t, OffloadImpl *> byRxCtx_;
+    util::FlatMap<uint64_t, OffloadImpl *> byTxCtx_;
 };
 
 } // namespace anic::core

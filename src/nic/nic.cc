@@ -69,9 +69,8 @@ Nic::Nic(sim::Simulator &sim, net::Link &link, int port, Config cfg)
         cfg_.coalescePkts = 1;
     if (cfg_.rssTableSize == 0)
         cfg_.rssTableSize = 1;
-    cfg_.ctxPolicy = resolveCtxPolicy(cfg_.ctxPolicy);
-    cache_ = CachePolicy::make(cfg_.ctxPolicy, cfg_.ctxCacheCapacity,
-                               [this](uint64_t id) { onCtxEvict(id); });
+    ANIC_ASSERT(cfg_.ctxCacheCapacity > 0,
+                "context cache capacity must be >= 1");
     rss_ = &net::Toeplitz::standard();
     queues_.reserve(static_cast<size_t>(cfg_.numQueues));
     for (int i = 0; i < cfg_.numQueues; i++) {
@@ -296,7 +295,7 @@ Nic::processTxOffload(net::Packet &pkt, QueueStats &qstats)
     if (tc == nullptr)
         return; // context destroyed; send as-is
     FlowContext &ctx = ctxArena_.at(tc->ctx);
-    touchContext(pkt.txCtx, &qstats);
+    touchContext(ctx, &qstats);
 
     const net::TcpHeader th = pkt.tcp();
     size_t payload = pkt.payloadSize();
@@ -357,7 +356,7 @@ Nic::onWire(net::PacketPtr pkt)
     util::SlabHandle *h = rxByFlow_.find(pkt->flow());
     if (h != nullptr && pkt->payloadSize() > 0) {
         FlowContext &ctx = ctxArena_.at(*h);
-        extra = touchContext(ctx.id(), &qs.stats);
+        extra = touchContext(ctx, &qs.stats);
         processRxOffload(*pkt, ctx);
     }
 
@@ -490,38 +489,72 @@ Nic::processRxOffload(net::Packet &pkt, FlowContext &ctx)
 
 // -------------------------------------------------------- context cache
 
+// Exact LRU: a hit moves the context to the front; a miss fetches it,
+// writes back contexts from the tail until a slot is free, then
+// pushes it to the front. A written-back context stays in the slab
+// and is fetched again on its next touch.
 sim::Tick
-Nic::touchContext(uint64_t ctxId, QueueStats *qs)
+Nic::touchContext(FlowContext &ctx, QueueStats *qs)
 {
-    if (cache_->touch(ctxId)) {
+    if (ctx.resident_) {
         stats_.ctxCacheHits++;
         if (qs != nullptr)
             qs->ctxHits++;
+        if (lruHead_ != &ctx) {
+            lruUnlink(ctx);
+            lruPushFront(ctx);
+        }
         return 0;
     }
     stats_.ctxCacheMisses++;
     if (qs != nullptr)
         qs->ctxMisses++;
     pcie_.ctxFetchBytes += cfg_.ctxBytes;
-    trace_->record(sim_.now(), sim::TraceKind::CtxFetch, name_, ctxId,
+    trace_->record(sim_.now(), sim::TraceKind::CtxFetch, name_, ctx.id(),
                    cfg_.ctxBytes);
-    // insert() evicts through onCtxEvict(); charge those writebacks
-    // to the queue whose miss forced them.
-    evictQs_ = qs;
-    cache_->insert(ctxId);
-    evictQs_ = nullptr;
+    // The writebacks are charged to the queue whose miss forced them.
+    while (ctxResident_ >= cfg_.ctxCacheCapacity) {
+        FlowContext &victim = *lruTail_;
+        lruUnlink(victim);
+        stats_.ctxCacheEvictions++;
+        if (qs != nullptr)
+            qs->evictions++;
+        pcie_.ctxWritebackBytes += cfg_.ctxBytes;
+        trace_->record(sim_.now(), sim::TraceKind::CtxEvict, name_,
+                       victim.id(), cfg_.ctxBytes);
+    }
+    lruPushFront(ctx);
     return cfg_.ctxFetchLatency;
 }
 
 void
-Nic::onCtxEvict(uint64_t ctxId)
+Nic::lruPushFront(FlowContext &ctx)
 {
-    stats_.ctxCacheEvictions++;
-    if (evictQs_ != nullptr)
-        evictQs_->evictions++;
-    pcie_.ctxWritebackBytes += cfg_.ctxBytes;
-    trace_->record(sim_.now(), sim::TraceKind::CtxEvict, name_, ctxId,
-                   cfg_.ctxBytes);
+    ctx.lruPrev_ = nullptr;
+    ctx.lruNext_ = lruHead_;
+    if (lruHead_ != nullptr)
+        lruHead_->lruPrev_ = &ctx;
+    else
+        lruTail_ = &ctx;
+    lruHead_ = &ctx;
+    ctx.resident_ = true;
+    ctxResident_++;
+}
+
+void
+Nic::lruUnlink(FlowContext &ctx)
+{
+    if (ctx.lruPrev_ != nullptr)
+        ctx.lruPrev_->lruNext_ = ctx.lruNext_;
+    else
+        lruHead_ = ctx.lruNext_;
+    if (ctx.lruNext_ != nullptr)
+        ctx.lruNext_->lruPrev_ = ctx.lruPrev_;
+    else
+        lruTail_ = ctx.lruPrev_;
+    ctx.lruPrev_ = ctx.lruNext_ = nullptr;
+    ctx.resident_ = false;
+    ctxResident_--;
 }
 
 // ------------------------------------------------------ context mgmt
@@ -547,7 +580,7 @@ Nic::createRxContext(const net::FlowKey &flow,
     rxByFlow_.emplace(flow, h);
     rxById_.emplace(id, RxRef{h, flow});
     pcie_.descriptorBytes += cfg_.ctxBytes; // initial state download
-    touchContext(id);
+    touchContext(ctx);
     return id;
 }
 
@@ -564,7 +597,7 @@ Nic::createTxContext(std::unique_ptr<L5Engine> engine, uint32_t tcpsn,
     tc.expectedSeq = tcpsn;
     txById_.emplace(id, tc);
     pcie_.descriptorBytes += cfg_.ctxBytes;
-    touchContext(id);
+    touchContext(ctx);
     return id;
 }
 
@@ -577,8 +610,7 @@ Nic::destroyRxContext(uint64_t id)
     RxRef ref = *r; // copy out: erase invalidates the pointer
     rxById_.erase(id);
     rxByFlow_.erase(ref.flow);
-    ctxArena_.free(ref.ctx);
-    cache_->remove(id);
+    freeContext(ref.ctx);
 }
 
 void
@@ -587,9 +619,18 @@ Nic::destroyTxContext(uint64_t id)
     TxCtx *tc = txById_.find(id);
     if (tc == nullptr)
         return;
-    ctxArena_.free(tc->ctx);
+    freeContext(tc->ctx);
     txById_.erase(id);
-    cache_->remove(id);
+}
+
+void
+Nic::freeContext(util::SlabHandle h)
+{
+    // A destroyed context frees its cache slot without a writeback.
+    FlowContext &ctx = ctxArena_.at(h);
+    if (ctx.resident_)
+        lruUnlink(ctx);
+    ctxArena_.free(h);
 }
 
 void
@@ -612,7 +653,7 @@ Nic::applyTxResync(const TxResyncCmd &cmd)
     stats_.txResyncs++;
     trace_->record(sim_.now(), sim::TraceKind::TxResync, name_, cmd.ctxId,
                    cmd.tcpsn, cmd.rebuild.size());
-    touchContext(cmd.ctxId);
+    touchContext(ctx);
 
     // The NIC re-reads the message bytes preceding the retransmitted
     // packet from host memory to rebuild the engine state (the PCIe
@@ -645,14 +686,6 @@ Nic::txEngine(uint64_t ctxId)
 {
     TxCtx *tc = txById_.find(ctxId);
     return tc == nullptr ? nullptr : &ctxArena_.at(tc->ctx).engine();
-}
-
-uint32_t
-Nic::txExpectedSeq(uint64_t ctxId) const
-{
-    const TxCtx *tc = txById_.find(ctxId);
-    ANIC_ASSERT(tc != nullptr);
-    return tc->expectedSeq;
 }
 
 const FsmStats *

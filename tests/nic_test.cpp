@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "net/packet_pool.hh"
-#include "nic/cache_policy.hh"
 #include "nic/nic.hh"
 #include "tls/tls_engine.hh"
 
@@ -534,137 +534,146 @@ TEST(NicDevice, DestroyedContextStopsOffloading)
     EXPECT_EQ(w.nicA.stats().txOffloadedPkts, 0u);
 }
 
-// ------------------------------------------------- cache policy units
+// ------------------------------------------- context cache (exact LRU)
 
-/** Touch-or-insert, the data path's access pattern; returns hit. */
-bool
-access(CachePolicy &c, uint64_t id)
+/**
+ * A NIC with a small context cache and a local trace ring. Contexts
+ * are tx contexts: creating one touches it, and a zero-payload packet
+ * tagged with it touches it again on the tx path.
+ */
+struct CtxCacheWorld
 {
-    if (c.touch(id))
-        return true;
-    c.insert(id);
-    return false;
-}
+    sim::TraceRing trace;
+    NicWorld w;
+    tls::DirectionKeys keys;
 
-TEST(CachePolicy, LruEvictsLeastRecentlyTouched)
-{
-    std::vector<uint64_t> evicted;
-    auto c = CachePolicy::make(CtxPolicy::Lru, 2,
-                               [&](uint64_t id) { evicted.push_back(id); });
-    access(*c, 1);
-    access(*c, 2);
-    EXPECT_TRUE(access(*c, 1)); // 1 is now MRU
-    access(*c, 3);              // must evict 2, not 1
-    EXPECT_EQ(evicted, (std::vector<uint64_t>{2}));
-    EXPECT_TRUE(c->resident(1));
-    EXPECT_FALSE(c->resident(2));
-    EXPECT_TRUE(c->resident(3));
-    EXPECT_EQ(c->size(), 2u);
-}
-
-TEST(CachePolicy, ClockSecondChance)
-{
-    std::vector<uint64_t> evicted;
-    auto c = CachePolicy::make(CtxPolicy::Clock, 2,
-                               [&](uint64_t id) { evicted.push_back(id); });
-    access(*c, 1);
-    access(*c, 2);
-    // Both reference bits set: the hand clears them in one sweep and
-    // evicts the first slot on the second pass (1, the oldest).
-    access(*c, 3);
-    EXPECT_EQ(evicted, (std::vector<uint64_t>{1}));
-    EXPECT_TRUE(c->resident(2));
-    EXPECT_TRUE(c->resident(3));
-    // 3's bit is set from its insert, 2's was cleared by that sweep:
-    // the next insert takes 2 even though 3 arrived later.
-    access(*c, 4);
-    EXPECT_EQ(evicted, (std::vector<uint64_t>{1, 2}));
-    EXPECT_TRUE(c->resident(3));
-    EXPECT_TRUE(c->resident(4));
-}
-
-TEST(CachePolicy, PinHotSurvivesOneShotFlood)
-{
-    std::vector<uint64_t> evicted;
-    auto c = CachePolicy::make(CtxPolicy::PinHot, 8,
-                               [&](uint64_t id) { evicted.push_back(id); });
-    // Two flows touched twice: promoted into the protected segment.
-    access(*c, 1);
-    access(*c, 2);
-    EXPECT_TRUE(access(*c, 1));
-    EXPECT_TRUE(access(*c, 2));
-    // A churn burst of one-shot flows washes through probation...
-    for (uint64_t id = 100; id < 130; id++)
-        EXPECT_FALSE(access(*c, id));
-    // ...without flushing the hot set.
-    EXPECT_TRUE(c->resident(1));
-    EXPECT_TRUE(c->resident(2));
-    for (uint64_t id : evicted)
-        EXPECT_GE(id, 100u);
-    // An LRU of the same capacity would have evicted 1 and 2 long ago.
-}
-
-TEST(CachePolicy, PoliciesAgreeAtCapacityOne)
-{
-    // Degenerate capacity: the resident set is exactly the last
-    // accessed id, so every policy must produce the same hit/miss and
-    // eviction sequence.
-    const uint64_t seq[] = {5, 6, 5, 5, 7, 7, 6, 5};
-    for (CtxPolicy p :
-         {CtxPolicy::Lru, CtxPolicy::Clock, CtxPolicy::PinHot}) {
-        std::vector<uint64_t> evicted;
-        auto c = CachePolicy::make(
-            p, 1, [&](uint64_t id) { evicted.push_back(id); });
-        std::vector<bool> hits;
-        for (uint64_t id : seq) {
-            hits.push_back(access(*c, id));
-            EXPECT_TRUE(c->resident(id)) << ctxPolicyName(p);
-            EXPECT_EQ(c->size(), 1u) << ctxPolicyName(p);
-        }
-        EXPECT_EQ(hits, (std::vector<bool>{false, false, false, true,
-                                           false, true, false, false}))
-            << ctxPolicyName(p);
-        EXPECT_EQ(evicted, (std::vector<uint64_t>{5, 6, 5, 7, 6}))
-            << ctxPolicyName(p);
+    explicit CtxCacheWorld(size_t capacity) : w(config(capacity, trace))
+    {
+        trace.enable();
+        keys.key.assign(16, 1);
+        keys.staticIv.assign(12, 2);
     }
+
+    static Nic::Config
+    config(size_t capacity, sim::TraceRing &ring)
+    {
+        Nic::Config cfg;
+        cfg.ctxCacheCapacity = capacity;
+        cfg.trace = &ring;
+        return cfg;
+    }
+
+    uint64_t
+    create()
+    {
+        return w.nicA.createTxContext(
+            std::make_unique<tls::TlsTxEngine>(keys), 0, 0);
+    }
+
+    void
+    touch(uint64_t ctx)
+    {
+        ASSERT_TRUE(w.nicA.transmit(mkPkt(1, 2, 0, 0, ctx)));
+        w.sim.run();
+    }
+
+    /** Context ids in the order the cache wrote them back. */
+    std::vector<uint64_t>
+    evicted() const
+    {
+        std::vector<uint64_t> ids;
+        for (const sim::TraceEvent &e : trace.events())
+            if (e.kind == sim::TraceKind::CtxEvict)
+                ids.push_back(e.id);
+        return ids;
+    }
+
+    const NicStats &stats() const { return w.nicA.stats(); }
+    uint64_t fetchBytes() const { return w.nicA.pcie().ctxFetchBytes; }
+    uint64_t writebackBytes() const
+    {
+        return w.nicA.pcie().ctxWritebackBytes;
+    }
+    uint64_t ctxBytes() const { return w.nicA.config().ctxBytes; }
+};
+
+TEST(NicCtxCache, RetouchedContextSurvivesEviction)
+{
+    CtxCacheWorld c(2);
+    uint64_t a = c.create();
+    uint64_t b = c.create();
+    c.touch(a); // a is now the most recently used
+    EXPECT_EQ(c.stats().ctxCacheHits, 1u);
+    uint64_t x = c.create(); // must write back b, not a
+    EXPECT_EQ(c.evicted(), (std::vector<uint64_t>{b}));
+
+    c.touch(a); // still resident
+    EXPECT_EQ(c.stats().ctxCacheHits, 2u);
+    EXPECT_EQ(c.stats().ctxCacheMisses, 3u);
+    c.touch(b); // refetch; x is now the least recently used
+    EXPECT_EQ(c.evicted(), (std::vector<uint64_t>{b, x}));
+
+    EXPECT_EQ(c.stats().ctxCacheHits, 2u);
+    EXPECT_EQ(c.stats().ctxCacheMisses, 4u);
+    EXPECT_EQ(c.stats().ctxCacheEvictions, 2u);
+    EXPECT_EQ(c.fetchBytes(), 4 * c.ctxBytes());
+    EXPECT_EQ(c.writebackBytes(), 2 * c.ctxBytes());
 }
 
-TEST(CachePolicy, PoliciesAgreeAtInfiniteCapacity)
+TEST(NicCtxCache, CapacityOneHitEvictSequence)
 {
-    // Capacity >= flow count: nothing ever evicts and every re-access
-    // hits, for every policy.
-    for (CtxPolicy p :
-         {CtxPolicy::Lru, CtxPolicy::Clock, CtxPolicy::PinHot}) {
-        int evictions = 0;
-        auto c = CachePolicy::make(p, 64,
-                                   [&](uint64_t) { evictions++; });
-        for (uint64_t id = 0; id < 64; id++)
-            EXPECT_FALSE(access(*c, id)) << ctxPolicyName(p);
-        for (int round = 0; round < 3; round++) {
-            for (uint64_t id = 0; id < 64; id++)
-                EXPECT_TRUE(access(*c, id)) << ctxPolicyName(p);
-        }
-        EXPECT_EQ(evictions, 0) << ctxPolicyName(p);
-        EXPECT_EQ(c->size(), 64u) << ctxPolicyName(p);
+    // With one slot the resident set is exactly the last context
+    // touched. A context's first appearance is its creation.
+    CtxCacheWorld c(1);
+    const int seq[] = {5, 6, 5, 5, 7, 7, 6, 5};
+    std::map<int, uint64_t> ids;
+    std::vector<bool> hits;
+    for (int label : seq) {
+        uint64_t before = c.stats().ctxCacheHits;
+        auto it = ids.find(label);
+        if (it == ids.end())
+            ids[label] = c.create();
+        else
+            c.touch(it->second);
+        hits.push_back(c.stats().ctxCacheHits > before);
+        EXPECT_EQ(c.w.nicA.ctxResidentCount(), 1u);
     }
+    EXPECT_EQ(hits, (std::vector<bool>{false, false, false, true, false,
+                                       true, false, false}));
+    EXPECT_EQ(c.evicted(), (std::vector<uint64_t>{ids[5], ids[6], ids[5],
+                                                  ids[7], ids[6]}));
+    EXPECT_EQ(c.stats().ctxCacheHits, 2u);
+    EXPECT_EQ(c.stats().ctxCacheMisses, 6u);
+    EXPECT_EQ(c.stats().ctxCacheEvictions, 5u);
+    EXPECT_EQ(c.fetchBytes(), 6 * c.ctxBytes());
+    EXPECT_EQ(c.writebackBytes(), 5 * c.ctxBytes());
 }
 
-TEST(CachePolicy, RemoveIsNoEvictAndNonResidentIsNoop)
+TEST(NicCtxCache, DestroyedResidentFreesSlotWithoutWriteback)
 {
-    for (CtxPolicy p :
-         {CtxPolicy::Lru, CtxPolicy::Clock, CtxPolicy::PinHot}) {
-        int evictions = 0;
-        auto c = CachePolicy::make(p, 2, [&](uint64_t) { evictions++; });
-        access(*c, 1);
-        access(*c, 2);
-        c->remove(1);           // destroyed context: no writeback
-        c->remove(99);          // never resident: no-op
-        EXPECT_EQ(c->size(), 1u) << ctxPolicyName(p);
-        access(*c, 3);          // fills the freed slot, no eviction
-        EXPECT_EQ(evictions, 0) << ctxPolicyName(p);
-        EXPECT_TRUE(c->resident(2)) << ctxPolicyName(p);
-        EXPECT_TRUE(c->resident(3)) << ctxPolicyName(p);
-    }
+    CtxCacheWorld c(3);
+    uint64_t a = c.create();
+    uint64_t b = c.create();
+    uint64_t x = c.create();
+    c.w.nicA.destroyTxContext(b); // resident, in the middle of the list
+    EXPECT_EQ(c.w.nicA.ctxResidentCount(), 2u);
+    EXPECT_EQ(c.stats().ctxCacheEvictions, 0u);
+    EXPECT_EQ(c.writebackBytes(), 0u);
+
+    uint64_t d = c.create(); // takes b's slot: nothing written back
+    EXPECT_EQ(c.stats().ctxCacheEvictions, 0u);
+    c.touch(a);
+    c.touch(x);
+    c.touch(d);
+    EXPECT_EQ(c.stats().ctxCacheHits, 3u);
+
+    c.create(); // full again: a is the least recently used
+    EXPECT_EQ(c.evicted(), (std::vector<uint64_t>{a}));
+    EXPECT_EQ(c.stats().ctxCacheHits, 3u);
+    EXPECT_EQ(c.stats().ctxCacheMisses, 5u);
+    EXPECT_EQ(c.stats().ctxCacheEvictions, 1u);
+    EXPECT_EQ(c.fetchBytes(), 5 * c.ctxBytes());
+    EXPECT_EQ(c.writebackBytes(), 1 * c.ctxBytes());
 }
 
 // -------------------------------------------- eviction edge cases (NIC)
