@@ -41,6 +41,9 @@ fsmBug()
     return bug;
 }
 
+/** Hooks of an FSM nobody observes. */
+const FsmHooks kNoHooks;
+
 } // namespace
 
 const char *
@@ -60,16 +63,18 @@ fsmStateName(FsmState s)
 StreamFsm::StreamFsm(
     L5Engine &engine,
     std::function<void(uint64_t reqId, uint64_t pos)> requestResync)
-    : engine_(engine), requestResync_(std::move(requestResync))
+    : engine_(engine), requestResync_(std::move(requestResync)),
+      hooks_(&kNoHooks)
 {
 }
 
 void
-StreamFsm::setHooks(FsmHooks hooks)
+StreamFsm::setHooks(const FsmHooks *hooks, uint64_t traceId)
 {
-    hooks_ = std::move(hooks);
-    if (hooks_.now)
-        stateEnterTick_ = hooks_.now();
+    hooks_ = hooks != nullptr ? hooks : &kNoHooks;
+    traceId_ = traceId;
+    if (hooks_->now)
+        stateEnterTick_ = hooks_->now();
 }
 
 void
@@ -77,11 +82,11 @@ StreamFsm::toState(FsmState next)
 {
     if (next == state_)
         return;
-    if (hooks_.probe != nullptr)
-        hooks_.probe->onTransition(hooks_.traceId, state_, next);
-    if (hooks_.now) {
-        sim::Tick now = hooks_.now();
-        if (auto *d = hooks_.dwellNs[static_cast<int>(state_)])
+    if (hooks_->probe != nullptr)
+        hooks_->probe->onTransition(traceId_, state_, next);
+    if (hooks_->now) {
+        sim::Tick now = hooks_->now();
+        if (auto *d = hooks_->dwellNs[static_cast<int>(state_)])
             d->add(static_cast<double>(now - stateEnterTick_) /
                    sim::kNanosecond);
         stateEnterTick_ = now;
@@ -95,17 +100,17 @@ void
 StreamFsm::bump(sim::Counter FsmStats::*m, uint64_t n)
 {
     (stats_.*m) += n;
-    if (hooks_.aggregate != nullptr)
-        ((*hooks_.aggregate).*m) += n;
+    if (hooks_->aggregate != nullptr)
+        ((*hooks_->aggregate).*m) += n;
 }
 
 void
 StreamFsm::traceEvent(sim::TraceKind kind, uint64_t a, uint64_t b)
 {
-    if (hooks_.trace == nullptr)
+    if (hooks_->trace == nullptr)
         return;
-    hooks_.trace->record(hooks_.now ? hooks_.now() : 0, kind, hooks_.name,
-                         hooks_.traceId, a, b);
+    hooks_->trace->record(hooks_->now ? hooks_->now() : 0, kind,
+                          hooks_->name, traceId_, a, b);
 }
 
 void
@@ -137,8 +142,8 @@ StreamFsm::segment(uint64_t pos, ByteSpan data, PacketResult &res)
     FsmState pre = state_;
     uint64_t preExpected = expected_;
     bool processed = segmentImpl(pos, data, res);
-    if (hooks_.probe != nullptr)
-        hooks_.probe->onSegment(hooks_.traceId, pre, pos, preExpected,
+    if (hooks_->probe != nullptr)
+        hooks_->probe->onSegment(traceId_, pre, pos, preExpected,
                                 data.size(), processed);
     return processed;
 }
@@ -405,8 +410,8 @@ StreamFsm::scanSpan(uint64_t pos, ByteView data, PacketResult &res)
         haveConfirm_ = false;
         toState(FsmState::Tracking);
         traceEvent(sim::TraceKind::ResyncRequest, cand);
-        if (hooks_.probe != nullptr)
-            hooks_.probe->onResyncRequest(hooks_.traceId, pendingReqId_, cand);
+        if (hooks_->probe != nullptr)
+            hooks_->probe->onResyncRequest(traceId_, pendingReqId_, cand);
         trackMsgCount_ = 0;
         trackCurStart_ = cand;
         trackCurLen_ = info->wireLen;
@@ -501,8 +506,8 @@ StreamFsm::confirm(uint64_t reqId, bool ok, uint64_t msgIdx)
         return; // stale response for an abandoned speculation
     uint64_t reqPos = pendingReqPos_;
     pendingReqId_ = 0;
-    if (hooks_.probe != nullptr)
-        hooks_.probe->onResyncResolved(hooks_.traceId, reqId, ok, reqPos);
+    if (hooks_->probe != nullptr)
+        hooks_->probe->onResyncResolved(traceId_, reqId, ok, reqPos);
     if (fsmBug() == FsmBug::SkipConfirm && !ok)
         ok = true; // mutation: ignore software's refutation
     if (!ok) {

@@ -135,6 +135,7 @@ struct H
 {
     TableEngine eng;
     EdgeProbe probe;
+    FsmHooks hooks;
     StreamFsm fsm;
     std::vector<std::pair<uint64_t, uint64_t>> reqs; // (id, pos)
     Bytes stream = buildStream(8, 250);
@@ -145,9 +146,8 @@ struct H
               reqs.emplace_back(id, pos);
           })
     {
-        FsmHooks hooks;
         hooks.probe = &probe;
-        fsm.setHooks(std::move(hooks));
+        fsm.setHooks(&hooks, 0);
         fsm.reset(0, 0);
     }
 

@@ -304,9 +304,8 @@ TEST(StreamFsm, TraceRingRecordsLossResyncTransitions)
     FsmHooks hooks;
     hooks.now = [&clock] { return clock; };
     hooks.trace = &ring;
-    hooks.traceId = 7;
     hooks.name = "test.fsm";
-    h.fsm.setHooks(std::move(hooks));
+    h.fsm.setHooks(&hooks, /*traceId=*/7);
     h.fsm.reset(0, 0);
 
     Bytes stream = buildStream(10, 250);
