@@ -25,10 +25,9 @@ usage()
     std::fprintf(stderr,
                  "shared bench options:\n"
                  "  --jobs N         worker threads (default 1)\n"
-                 "  --cores N        simulated server core count "
-                 "(ANIC_CORES)\n"
+                 "  --cores N        simulated server core count\n"
                  "  --flows N        concurrent flow count for "
-                 "flow-scale benches (ANIC_FLOWS)\n"
+                 "flow-scale benches\n"
                  "  --churn R        flow churn rate: fraction of "
                  "flows cycled per second\n"
                  "  --zipf S         flow popularity skew "
@@ -48,8 +47,6 @@ parseBenchCli(int argc, char **argv)
 {
     BenchOptions opt;
     opt.quick = util::Env::quick();
-    opt.cores = util::Env::cores();
-    opt.flows = util::Env::flows();
     for (int i = 1; i < argc; i++) {
         std::string a = argv[i];
         auto need = [&](const char *flag) -> const char * {
@@ -115,6 +112,18 @@ makeBenchSink(std::string jsonPath)
             detail::writeSnapshotFile(bench, line);
         detail::writeTraceFile(o.traceDump);
     };
+}
+
+int
+runOnce(const std::string &label,
+        const std::function<int(sim::RunContext &)> &body)
+{
+    int rc = 1;
+    sim::JobRunner runner(sim::JobRunner::Config{
+        1, sim::RunConfig::fromEnv(), makeBenchSink("")});
+    runner.submit(label, [&](sim::RunContext &ctx) { rc = body(ctx); });
+    runner.drain();
+    return rc;
 }
 
 Sweep::Sweep(std::string bench, const BenchOptions &opt)

@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_json.hh"
+#include "bench_cli.hh"
 #include "crypto/aes.hh"
 #include "crypto/cpu.hh"
 #include "crypto/crc32c.hh"
@@ -178,16 +178,16 @@ throughput(size_t bytesPerCall, Fn work)
 }
 
 void
-speedupSummary()
+speedupSummary(anic::sim::RunContext &ctx)
 {
     if (!hwCryptoSupported()) {
-        std::printf("\nhw kernels unavailable (%s); scalar only\n",
-                    hwCryptoCompiled() ? "CPU lacks AES-NI/PCLMUL/SSE4.2"
-                                       : "not compiled in");
+        ctx.print("\nhw kernels unavailable (%s); scalar only\n",
+                  hwCryptoCompiled() ? "CPU lacks AES-NI/PCLMUL/SSE4.2"
+                                     : "not compiled in");
         return;
     }
 
-    std::printf("\n-- hw vs scalar speedup --\n");
+    ctx.print("\n-- hw vs scalar speedup --\n");
 
     auto gcmSeal = [](CryptoImpl impl, size_t len) {
         Bytes key(16, 0x11);
@@ -229,12 +229,12 @@ speedupSummary()
         double hw =
             r.gcm ? gcmSeal(CryptoImpl::Hw, r.len) : crc(CryptoImpl::Hw, r.len);
         double speedup = scalar > 0 ? hw / scalar : 0;
-        std::printf("%-20s scalar %8.0f MB/s   hw %8.0f MB/s   %5.1fx\n",
-                    r.name, scalar / 1e6, hw / 1e6, speedup);
-        anic::bench::jsonRecord("crypto_micro",
+        ctx.print("%-20s scalar %8.0f MB/s   hw %8.0f MB/s   %5.1fx\n",
+                  r.name, scalar / 1e6, hw / 1e6, speedup);
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_speedup").c_str(),
                                 speedup);
-        anic::bench::jsonRecord("crypto_micro",
+        anic::bench::jsonRecord(ctx, "crypto_micro",
                                 (std::string(r.tag) + "_hw_mbps").c_str(),
                                 hw / 1e6);
     }
@@ -249,7 +249,10 @@ main(int argc, char **argv)
     registerAll();
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    speedupSummary();
-    anic::bench::emitRegistrySnapshot("crypto_micro");
-    return 0;
+    return anic::bench::runOnce(
+        "crypto_micro", [](anic::sim::RunContext &ctx) {
+            speedupSummary(ctx);
+            anic::bench::emitRegistrySnapshot(ctx, "crypto_micro");
+            return 0;
+        });
 }

@@ -22,7 +22,7 @@
  * state layer (DESIGN.md §15) is accountable for. The probe runs
  * identically for any --jobs value, so stdout stays byte-identical.
  *
- * Knobs: --flows N (ANIC_FLOWS, default 100000), --churn R (fraction
+ * Knobs: --flows N (default 100000), --churn R (fraction
  * of flows cycled per second, default 0.2), --zipf S (default 0.99),
  * plus the shared sweep options.
  */

@@ -3,7 +3,6 @@
 #include <mutex>
 
 #include "crypto/cpu.hh"
-#include "sim/trace.hh"
 #include "util/env.hh"
 
 namespace anic::bench {
@@ -142,27 +141,6 @@ emitRegistrySnapshot(sim::RunContext &ctx, const std::string &bench,
         ctx.addSnapshot(bench, line);
     if (!util::Env::traceFile().empty())
         ctx.captureTraceDump();
-}
-
-void
-jsonRecord(const char *bench, const char *metric, double value,
-           JsonExtra extra)
-{
-    detail::writeJsonLine(detail::recordLine(bench, metric, value, extra));
-}
-
-void
-emitRegistrySnapshot(const std::string &bench, const ScenarioTags &scenario,
-                     sim::StatsRegistry *reg)
-{
-    if (reg == nullptr)
-        reg = &sim::StatsRegistry::global();
-    std::string line = detail::snapshotLine(bench, scenario, *reg);
-    detail::writeJsonLine(line);
-    detail::writeSnapshotFile(bench, line);
-    sim::TraceRing &ring = sim::TraceRing::global();
-    if (ring.enabled())
-        detail::writeTraceFile(ring.jsonl());
 }
 
 } // namespace anic::bench

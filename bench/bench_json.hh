@@ -14,18 +14,12 @@
  *   {"schema":"anic.registry.v2","bench":"fig13","crypto_impl":"hw",
  *    "scenario":{"variant":"offload+zc"},"stats":{"srv":{"nic0":...}}}
  *
- * Two call styles:
- *
- *  - RunContext overloads (preferred): the line is buffered in the
- *    run's Output and flushed by the JobRunner in submission order,
- *    which keeps `--jobs N` byte-identical to serial. Snapshots read
- *    the context's own registry; ANIC_SNAPSHOT_DIR / ANIC_TRACE_FILE
- *    artifacts are attached to the Output and written at flush time.
- *
- *  - Immediate overloads (DEPRECATED, kept as thin shims for one PR
- *    for ad-hoc tools): write straight to stdout, ANIC_BENCH_JSON,
- *    ANIC_SNAPSHOT_DIR and ANIC_TRACE_FILE, reading the thread-local
- *    global registry/ring. Not safe under a JobRunner.
+ * Lines are buffered in the run's RunContext Output and flushed by
+ * the JobRunner in submission order, which keeps `--jobs N`
+ * byte-identical to serial. Snapshots read the context's own
+ * registry; ANIC_SNAPSHOT_DIR / ANIC_TRACE_FILE artifacts are
+ * attached to the Output and written at flush time. Single-run tools
+ * use runOnce() (bench_cli.hh) for the same path.
  */
 
 #ifndef ANIC_BENCH_BENCH_JSON_HH
@@ -66,14 +60,13 @@ std::string snapshotLine(const std::string &bench,
                          const ScenarioTags &scenario,
                          const sim::StatsRegistry &reg);
 
-/** Immediate sinks (stdout + ANIC_BENCH_JSON; snapshot files). */
+/** Sinks: a line to stdout + the bench JSON file (@p jsonPath, else
+ *  ANIC_BENCH_JSON); snapshot and trace files. */
 void writeJsonLine(const std::string &line, const std::string &jsonPath = "");
 void writeSnapshotFile(const std::string &bench, const std::string &line);
 void writeTraceFile(const std::string &dump);
 
 } // namespace detail
-
-// ------------------------------------------------ RunContext style
 
 /** Buffers one record line in @p ctx (flushed in submission order). */
 void jsonRecord(sim::RunContext &ctx, const char *bench, const char *metric,
@@ -84,18 +77,6 @@ void jsonRecord(sim::RunContext &ctx, const char *bench, const char *metric,
  *  the run's world is alive (scopes unlink on destruction). */
 void emitRegistrySnapshot(sim::RunContext &ctx, const std::string &bench,
                           const ScenarioTags &scenario = {});
-
-// ------------------------------- immediate style (deprecated shims)
-
-/** DEPRECATED: immediate-mode jsonRecord (single-run tools only). */
-void jsonRecord(const char *bench, const char *metric, double value,
-                JsonExtra extra = {});
-
-/** DEPRECATED: immediate-mode snapshot of the thread-local global
- *  (or @p reg) registry (single-run tools only). */
-void emitRegistrySnapshot(const std::string &bench,
-                          const ScenarioTags &scenario = {},
-                          sim::StatsRegistry *reg = nullptr);
 
 } // namespace anic::bench
 

@@ -11,11 +11,10 @@
  * goodput and server CPU for each.
  */
 
-#include <cstdio>
 #include <cstdlib>
 
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 using namespace anic::bench;
@@ -23,9 +22,10 @@ using namespace anic::bench;
 namespace {
 
 void
-run(HttpVariant v, int connections, uint64_t fileKib)
+run(sim::RunContext &ctx, HttpVariant v, int connections, uint64_t fileKib)
 {
     auto ex = ExperimentBuilder()
+                  .run(ctx)
                   .serverCores(4)
                   .generatorCores(12)
                   .pageCache()
@@ -48,11 +48,11 @@ run(HttpVariant v, int connections, uint64_t fileKib)
         window, [&] { client.measureStart(); },
         [&] { client.measureStop(); });
 
-    std::printf("%-12s %10.2f Gbps %10.0f req/s %8.2f busy cores\n",
-                variantName(v), client.bodyMeter().gbps(),
-                static_cast<double>(client.windowResponses()) /
+    ctx.print("%-12s %10.2f Gbps %10.0f req/s %8.2f busy cores\n",
+              variantName(v), client.bodyMeter().gbps(),
+              static_cast<double>(client.windowResponses()) /
                     sim::ticksToSeconds(window),
-                busy);
+              busy);
 }
 
 } // namespace
@@ -63,13 +63,15 @@ main(int argc, char **argv)
     int connections = argc > 1 ? std::atoi(argv[1]) : 256;
     uint64_t file_kib = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 64;
 
-    std::printf("https file server: %d connections, %llu KiB files, "
-                "4 server cores, 100 Gbps\n\n",
-                connections, (unsigned long long)file_kib);
-    for (HttpVariant v : {HttpVariant::Http, HttpVariant::Https,
-                          HttpVariant::Offload, HttpVariant::OffloadZc}) {
-        run(v, connections, file_kib);
-    }
-    anic::bench::emitRegistrySnapshot("https_server");
-    return 0;
+    return runOnce("https_server", [&](sim::RunContext &ctx) {
+        ctx.print("https file server: %d connections, %llu KiB files, "
+                  "4 server cores, 100 Gbps\n\n",
+                  connections, (unsigned long long)file_kib);
+        for (HttpVariant v : {HttpVariant::Http, HttpVariant::Https,
+                              HttpVariant::Offload, HttpVariant::OffloadZc}) {
+            run(ctx, v, connections, file_kib);
+        }
+        emitRegistrySnapshot(ctx, "https_server");
+        return 0;
+    });
 }

@@ -11,21 +11,23 @@
  *   $ ./quickstart
  */
 
-#include <cstdio>
-
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 
+namespace {
+
 int
-main()
+run(sim::RunContext &ctx)
 {
     // 1. A world: client host "generator", server host "server",
     //    connected by a link with 1% packet loss toward the server.
+    //    It publishes its stats into the run's context.
     net::Link::Config link;
     link.dir[0].lossRate = 0.01;
     auto ex = bench::ExperimentBuilder()
+                  .run(ctx)
                   .pageCache() // no storage needed here
                   .link(link)
                   .build();
@@ -89,28 +91,36 @@ main()
     // 4. Run the simulation until the stream completes.
     w.sim.runUntil(5 * sim::kSecond);
 
-    std::printf("delivered %llu / %llu bytes, %s\n",
-                (unsigned long long)received, (unsigned long long)kTotal,
-                corrupt ? "CORRUPT" : "intact and authenticated");
+    ctx.print("delivered %llu / %llu bytes, %s\n",
+              (unsigned long long)received, (unsigned long long)kTotal,
+              corrupt ? "CORRUPT" : "intact and authenticated");
 
     const tls::TlsStats &rx = serverSock->stats();
-    std::printf("server records: %llu total, %llu fully offloaded, "
-                "%llu partial, %llu software\n",
-                (unsigned long long)rx.recordsRx,
-                (unsigned long long)rx.rxFullyOffloaded,
-                (unsigned long long)rx.rxPartiallyOffloaded,
-                (unsigned long long)rx.rxNotOffloaded);
+    ctx.print("server records: %llu total, %llu fully offloaded, "
+              "%llu partial, %llu software\n",
+              (unsigned long long)rx.recordsRx,
+              (unsigned long long)rx.rxFullyOffloaded,
+              (unsigned long long)rx.rxPartiallyOffloaded,
+              (unsigned long long)rx.rxNotOffloaded);
 
     const nic::FsmStats *fsm = serverSock->rxFsmStats();
-    std::printf("NIC resync: %llu speculations, %llu confirmed, "
-                "%llu mid-record resumes\n",
-                (unsigned long long)fsm->resyncRequests,
-                (unsigned long long)fsm->resyncConfirmed,
-                (unsigned long long)fsm->midMsgResumes);
-    std::printf("client NIC: %llu packets encrypted inline, %llu tx "
-                "context recoveries\n",
-                (unsigned long long)w.generator.nicDev().stats().txOffloadedPkts,
-                (unsigned long long)w.generator.nicDev().stats().txResyncs);
-    anic::bench::emitRegistrySnapshot("quickstart");
+    ctx.print("NIC resync: %llu speculations, %llu confirmed, "
+              "%llu mid-record resumes\n",
+              (unsigned long long)fsm->resyncRequests,
+              (unsigned long long)fsm->resyncConfirmed,
+              (unsigned long long)fsm->midMsgResumes);
+    ctx.print("client NIC: %llu packets encrypted inline, %llu tx "
+              "context recoveries\n",
+              (unsigned long long)w.generator.nicDev().stats().txOffloadedPkts,
+              (unsigned long long)w.generator.nicDev().stats().txResyncs);
+    bench::emitRegistrySnapshot(ctx, "quickstart");
     return corrupt || received != kTotal ? 1 : 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::runOnce("quickstart", run);
 }

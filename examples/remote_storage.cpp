@@ -11,12 +11,11 @@
  * throughput, CPU, and what the NIC placed/verified.
  */
 
-#include <cstdio>
 #include <cstdlib>
 
 #include "app/fio.hh"
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 using namespace anic::bench;
@@ -24,11 +23,12 @@ using namespace anic::bench;
 namespace {
 
 void
-run(bool offload, uint32_t ioKib, int depth)
+run(sim::RunContext &ctx, bool offload, uint32_t ioKib, int depth)
 {
     StorageVariant sv;
     sv.offload = offload;
     auto ex = ExperimentBuilder()
+                  .run(ctx)
                   .serverCores(1)
                   .generatorCores(8)
                   .remoteStorage(sv)
@@ -55,15 +55,15 @@ run(bool offload, uint32_t ioKib, int depth)
     double gbps = static_cast<double>(reqs) * fcfg.blockSize * 8 /
                   sim::ticksToSeconds(window) / 1e9;
     const nvmetcp::NvmeHostStats &st = w.storage->queue(0)->stats();
-    std::printf("%-9s %8.2f Gbps %6.2f busy cores | lat %6.0f us | "
-                "placed %5.1f MiB, crc skipped %llu / sw %llu, "
-                "failures %llu\n",
-                offload ? "offload" : "software", gbps,
-                w.server.busyCores(busy, window), job.latencyUs().mean(),
-                static_cast<double>(st.bytesPlaced) / (1 << 20),
-                (unsigned long long)st.crcSkipped,
-                (unsigned long long)st.crcSoftware,
-                (unsigned long long)(st.failures + job.failures()));
+    ctx.print("%-9s %8.2f Gbps %6.2f busy cores | lat %6.0f us | "
+              "placed %5.1f MiB, crc skipped %llu / sw %llu, "
+              "failures %llu\n",
+              offload ? "offload" : "software", gbps,
+              w.server.busyCores(busy, window), job.latencyUs().mean(),
+              static_cast<double>(st.bytesPlaced) / (1 << 20),
+              (unsigned long long)st.crcSkipped,
+              (unsigned long long)st.crcSoftware,
+              (unsigned long long)(st.failures + job.failures()));
 }
 
 } // namespace
@@ -73,11 +73,13 @@ main(int argc, char **argv)
 {
     uint32_t io_kib = argc > 1 ? std::atoi(argv[1]) : 256;
     int depth = argc > 2 ? std::atoi(argv[2]) : 32;
-    std::printf("remote NVMe-TCP block device: %u KiB random reads, "
-                "depth %d, 100 Gbps fabric, drive capped at 2.67 GB/s\n\n",
-                io_kib, depth);
-    run(false, io_kib, depth);
-    run(true, io_kib, depth);
-    anic::bench::emitRegistrySnapshot("remote_storage");
-    return 0;
+    return runOnce("remote_storage", [&](sim::RunContext &ctx) {
+        ctx.print("remote NVMe-TCP block device: %u KiB random reads, "
+                  "depth %d, 100 Gbps fabric, drive capped at 2.67 GB/s\n\n",
+                  io_kib, depth);
+        run(ctx, false, io_kib, depth);
+        run(ctx, true, io_kib, depth);
+        emitRegistrySnapshot(ctx, "remote_storage");
+        return 0;
+    });
 }

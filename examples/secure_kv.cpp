@@ -9,11 +9,10 @@
  *   $ ./secure_kv [value_kib] [connections]
  */
 
-#include <cstdio>
 #include <cstdlib>
 
+#include "bench_cli.hh"
 #include "experiment.hh"
-#include "bench_json.hh"
 
 using namespace anic;
 using namespace anic::bench;
@@ -21,13 +20,14 @@ using namespace anic::bench;
 namespace {
 
 void
-run(bool offload, uint64_t valueKib, int connections)
+run(sim::RunContext &ctx, bool offload, uint64_t valueKib, int connections)
 {
     StorageVariant sv;
     sv.tls = true; // NVMe over TLS
     sv.offload = offload;
     sv.tlsOffload = offload;
     auto ex = ExperimentBuilder()
+                  .run(ctx)
                   .serverCores(2)
                   .generatorCores(12)
                   .remoteStorage(sv)
@@ -56,15 +56,15 @@ run(bool offload, uint64_t valueKib, int connections)
         placed += w.storage->queue(i)->stats().bytesPlaced;
         skipped += w.storage->queue(i)->stats().crcSkipped;
     }
-    std::printf("%-9s %8.2f Gbps %8.0f gets/s %6.2f busy cores | "
-                "%llu corruptions | NIC placed %.1f MiB, crc skipped "
-                "%llu capsules\n",
-                offload ? "offload" : "software", client.meter().gbps(),
-                static_cast<double>(client.windowResponses()) /
+    ctx.print("%-9s %8.2f Gbps %8.0f gets/s %6.2f busy cores | "
+              "%llu corruptions | NIC placed %.1f MiB, crc skipped "
+              "%llu capsules\n",
+              offload ? "offload" : "software", client.meter().gbps(),
+              static_cast<double>(client.windowResponses()) /
                     sim::ticksToSeconds(window),
-                busy, (unsigned long long)client.stats().corruptions,
-                static_cast<double>(placed) / (1 << 20),
-                (unsigned long long)skipped);
+              busy, (unsigned long long)client.stats().corruptions,
+              static_cast<double>(placed) / (1 << 20),
+              (unsigned long long)skipped);
 }
 
 } // namespace
@@ -74,11 +74,13 @@ main(int argc, char **argv)
 {
     uint64_t value_kib = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 64;
     int connections = argc > 2 ? std::atoi(argv[2]) : 16;
-    std::printf("secure KV store: %llu KiB values on a TLS-wrapped remote "
-                "drive, %d client connections\n\n",
-                (unsigned long long)value_kib, connections);
-    run(false, value_kib, connections);
-    run(true, value_kib, connections);
-    anic::bench::emitRegistrySnapshot("secure_kv");
-    return 0;
+    return runOnce("secure_kv", [&](sim::RunContext &ctx) {
+        ctx.print("secure KV store: %llu KiB values on a TLS-wrapped remote "
+                  "drive, %d client connections\n\n",
+                  (unsigned long long)value_kib, connections);
+        run(ctx, false, value_kib, connections);
+        run(ctx, true, value_kib, connections);
+        emitRegistrySnapshot(ctx, "secure_kv");
+        return 0;
+    });
 }

@@ -7,8 +7,6 @@ namespace anic::util {
 struct Env::Values
 {
     bool quick = false;
-    int cores = 0;
-    int flows = 0;
     bool traceEnabled = false;
     size_t traceCap = 0;
     std::string traceFile;
@@ -55,8 +53,6 @@ Env::values()
     static const Values v = [] {
         Values r;
         r.quick = envFlag("ANIC_QUICK");
-        r.cores = static_cast<int>(envSize("ANIC_CORES"));
-        r.flows = static_cast<int>(envSize("ANIC_FLOWS"));
         r.traceEnabled = envFlag("ANIC_TRACE");
         r.traceCap = envSize("ANIC_TRACE_CAP");
         r.traceFile = envString("ANIC_TRACE_FILE");
@@ -73,8 +69,6 @@ Env::values()
 }
 
 bool Env::quick() { return values().quick; }
-int Env::cores() { return values().cores; }
-int Env::flows() { return values().flows; }
 bool Env::traceEnabled() { return values().traceEnabled; }
 size_t Env::traceCap() { return values().traceCap; }
 const std::string &Env::traceFile() { return values().traceFile; }
