@@ -6,9 +6,9 @@
  *   Listing 1 (driver -> L5P):  OffloadDevice::l5oCreate /
  *       L5Offload::destroy / engine access for request-response state
  *       (l5o_add_rr_state) / L5Offload::resyncRxResp.
- *   Listing 2 (L5P -> driver):  L5pCallbacks::getTxMsgState
- *       (l5o_get_tx_msgstate) and L5pCallbacks::resyncRxReq
- *       (l5o_resync_rx_req).
+ *   Listing 2 (L5P -> driver):  L5pSession::getTxMsgState
+ *       (l5o_get_tx_msgstate) and L5pSession::resyncRxReq
+ *       (l5o_resync_rx_req), in l5p_session.hh.
  */
 
 #ifndef ANIC_CORE_L5O_HH
@@ -21,37 +21,13 @@
 
 namespace anic::core {
 
-/**
- * Upcalls an L5P implements so the driver can recover NIC contexts
- * (Listing 2). Invoked on the connection's core.
- */
-class L5pCallbacks
+/** What l5o_get_tx_msgstate returns: the state needed to rebuild the
+ *  tx context for a retransmission. */
+struct TxMsgState
 {
-  public:
-    virtual ~L5pCallbacks() = default;
-
-    /** State needed to rebuild the tx context for a retransmission. */
-    struct TxMsgState
-    {
-        uint32_t msgStartSeq = 0; ///< TCP seq of the enclosing message
-        uint64_t msgIdx = 0;      ///< index of that message
-        Bytes rebuild;            ///< message bytes [msgStartSeq, tcpsn)
-    };
-
-    /**
-     * l5o_get_tx_msgstate: maps a TCP sequence number inside an
-     * unacknowledged message to that message's state. Returns nullopt
-     * if the L5P no longer holds it (then the offload cannot recover
-     * and the connection must stop offloading).
-     */
-    virtual std::optional<TxMsgState> getTxMsgState(uint32_t tcpsn) = 0;
-
-    /**
-     * l5o_resync_rx_req: the NIC speculatively identified a message
-     * header at @p tcpsn. The L5P answers later (when its receive
-     * processing reaches that point) via L5Offload::resyncRxResp.
-     */
-    virtual void resyncRxReq(uint32_t tcpsn) = 0;
+    uint32_t msgStartSeq = 0; ///< TCP seq of the enclosing message
+    uint64_t msgIdx = 0;      ///< index of that message
+    Bytes rebuild;            ///< message bytes [msgStartSeq, tcpsn)
 };
 
 /**
@@ -112,7 +88,6 @@ class L5Offload
      *  (e.g. NVMe-TCP l5o_add_rr_state / l5o_del_rr_state update the
      *  CID -> buffer map inside the rx engine). */
     virtual nic::L5Engine *rxEngine() = 0;
-    virtual nic::L5Engine *txEngine() = 0;
 
     /** Context id the stack tags outgoing packets with. */
     virtual uint64_t txCtxId() const = 0;

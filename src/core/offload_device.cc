@@ -1,5 +1,7 @@
 #include "core/offload_device.hh"
 
+#include "core/l5p_session.hh"
+
 #include "util/panic.hh"
 
 namespace anic::core {
@@ -8,8 +10,8 @@ namespace anic::core {
 class OffloadDevice::OffloadImpl : public L5Offload
 {
   public:
-    OffloadImpl(OffloadDevice &dev, L5pCallbacks *cb, host::Core *core)
-        : dev_(dev), callbacks_(cb), core_(core)
+    OffloadImpl(OffloadDevice &dev, L5pSession *session, host::Core *core)
+        : dev_(dev), session_(session), core_(core)
     {
     }
 
@@ -37,12 +39,6 @@ class OffloadDevice::OffloadImpl : public L5Offload
         return rxCtx_ ? dev_.nic_.rxEngine(rxCtx_) : nullptr;
     }
 
-    nic::L5Engine *
-    txEngine() override
-    {
-        return txCtx_ ? dev_.nic_.txEngine(txCtx_) : nullptr;
-    }
-
     uint64_t txCtxId() const override { return txCtx_; }
 
     const nic::FsmStats *
@@ -52,7 +48,7 @@ class OffloadDevice::OffloadImpl : public L5Offload
     }
 
     OffloadDevice &dev_;
-    L5pCallbacks *callbacks_;
+    L5pSession *session_;
     host::Core *core_;
     uint64_t rxCtx_ = 0;
     uint64_t txCtx_ = 0;
@@ -107,8 +103,8 @@ OffloadDevice::transmit(net::PacketPtr pkt)
             // §4.2 context recovery: ask the L5P for the enclosing
             // message's state, hand it to the NIC via a special
             // descriptor, then post the packet as usual.
-            std::optional<L5pCallbacks::TxMsgState> st =
-                off.callbacks_->getTxMsgState(th.seq);
+            std::optional<TxMsgState> st =
+                off.session_->getTxMsgState(th.seq);
             ANIC_ASSERT(st.has_value(),
                         "L5P lost tx message state for unacked seq %u",
                         th.seq);
@@ -167,18 +163,18 @@ OffloadDevice::onNicResyncRequest(uint64_t ctxId, uint64_t reqId,
     ANIC_ASSERT(core != nullptr);
     core->post([off, tcpSeq, core] {
         core->charge(core->model().resyncUpcallCost);
-        off->callbacks_->resyncRxReq(tcpSeq);
+        off->session_->resyncRxReq(tcpSeq);
     });
 }
 
 L5Offload *
 OffloadDevice::l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
-                         unsigned dirs, L5pCallbacks *cb, uint64_t rxMsgIdx,
-                         uint64_t txMsgIdx)
+                         unsigned dirs, L5pSession *session,
+                         uint64_t rxMsgIdx, uint64_t txMsgIdx)
 {
-    ANIC_ASSERT(dirs != 0 && cb != nullptr);
+    ANIC_ASSERT(dirs != 0 && session != nullptr);
     const L5ProtocolOps &ops = l5ProtocolOps(st.kind());
-    auto *off = new OffloadImpl(*this, cb, &conn.core());
+    auto *off = new OffloadImpl(*this, session, &conn.core());
     if (dirs & kL5Rx) {
         ANIC_ASSERT(ops.makeRx != nullptr,
                     "protocol registered no rx engine factory");

@@ -18,6 +18,8 @@
 
 namespace anic::core {
 
+class L5pSession;
+
 /** One NIC port's driver instance. */
 class OffloadDevice : public tcp::NetDevice
 {
@@ -47,10 +49,11 @@ class OffloadDevice : public tcp::NetDevice
      * from the connection's current state. All protocols install
      * through this entrypoint. @p dirs is a kL5Rx/kL5Tx mask;
      * @p rxMsgIdx / @p txMsgIdx seed the per-direction message
-     * counters (0 for a fresh stream). @p cb must outlive the offload.
+     * counters (0 for a fresh stream). @p session must outlive the
+     * offload.
      */
     L5Offload *l5oCreate(tcp::TcpConnection &conn, const L5StaticState &st,
-                         unsigned dirs, L5pCallbacks *cb,
+                         unsigned dirs, L5pSession *session,
                          uint64_t rxMsgIdx = 0, uint64_t txMsgIdx = 0);
 
     nic::Nic &nic() { return nic_; }

@@ -132,7 +132,6 @@ class TlsRxEngine : public TlsEngineBase
     crypto::Aes128 ctrAes_;       ///< raw CTR for mid-record resume
     std::array<uint8_t, 12> nonce_{};
     bool ctrOnly_ = false;        ///< resumed mid-record: no ICV check
-    uint64_t ctrPos_ = 0;         ///< unused; kept via onMsgData offsets
     uint8_t tagBuf_[kTagSize];
     size_t tagHave_ = 0;
     bool recordOpen_ = false;
