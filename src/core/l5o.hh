@@ -25,9 +25,9 @@ namespace anic::core {
  *  tx context for a retransmission. */
 struct TxMsgState
 {
-    uint32_t msgStartSeq = 0; ///< TCP seq of the enclosing message
-    uint64_t msgIdx = 0;      ///< index of that message
-    Bytes rebuild;            ///< message bytes [msgStartSeq, tcpsn)
+    uint64_t msgIdx = 0;   ///< index of the message holding tcpsn
+    SharedBytes msg;       ///< that message as sent, shared with the log
+    size_t rebuildLen = 0; ///< its bytes before tcpsn: the rebuild
 };
 
 /**

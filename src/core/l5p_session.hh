@@ -15,24 +15,27 @@
 #ifndef ANIC_CORE_L5P_SESSION_HH
 #define ANIC_CORE_L5P_SESSION_HH
 
-#include <deque>
 #include <optional>
 
 #include "core/offload_device.hh"
 #include "tcp/seq.hh"
 #include "util/panic.hh"
+#include "util/ring.hh"
 
 namespace anic::core {
 
 /** Messages sent while a tx context exists, in stream order, each
- *  held until fully acked: the NIC's context-recovery rebuild reads
- *  their bytes, which TCP releases as soon as they are acked. */
+ *  referenced until fully acked: the NIC's context-recovery rebuild
+ *  reads their bytes, which TCP releases as soon as they are acked. A
+ *  message is one immutable buffer shared with the L5P's send path and
+ *  any queued resync descriptor, so trimming never frees bytes the NIC
+ *  has yet to read. */
 class TxMsgLog
 {
   public:
     /** Records a message; messages must be added in stream order. */
     void
-    add(uint32_t startSeq, uint64_t msgIdx, Bytes bytes)
+    add(uint32_t startSeq, uint64_t msgIdx, SharedBytes bytes)
     {
         ANIC_ASSERT(msgs_.empty() || startSeq == msgs_.back().endSeq(),
                     "messages must be contiguous in sequence space");
@@ -52,16 +55,12 @@ class TxMsgLog
     std::optional<TxMsgState>
     state(uint32_t tcpsn) const
     {
-        for (const Entry &e : msgs_) {
+        for (size_t i = 0; i < msgs_.size(); i++) {
+            const Entry &e = msgs_[i];
             if (tcp::seqLt(tcpsn, e.startSeq) ||
                 tcp::seqGeq(tcpsn, e.endSeq()))
                 continue;
-            TxMsgState st;
-            st.msgStartSeq = e.startSeq;
-            st.msgIdx = e.msgIdx;
-            st.rebuild.assign(e.bytes.begin(),
-                              e.bytes.begin() + (tcpsn - e.startSeq));
-            return st;
+            return TxMsgState{e.msgIdx, e.bytes, tcpsn - e.startSeq};
         }
         return std::nullopt;
     }
@@ -71,16 +70,16 @@ class TxMsgLog
     {
         uint32_t startSeq;
         uint64_t msgIdx;
-        Bytes bytes;
+        SharedBytes bytes;
 
         uint32_t
         endSeq() const
         {
-            return startSeq + static_cast<uint32_t>(bytes.size());
+            return startSeq + static_cast<uint32_t>(bytes->size());
         }
     };
 
-    std::deque<Entry> msgs_;
+    util::Ring<Entry> msgs_;
 };
 
 /**
@@ -212,14 +211,14 @@ class L5pSession
     }
 
     /** Logs a message whose first byte is the next one the connection
-     *  sends, if a tx context exists (nobody else asks). Returns
-     *  whether it was logged. */
+     *  sends, if a tx context exists (nobody else asks), by taking a
+     *  reference to @p wire. Returns whether it was logged. */
     bool
-    logTxMsg(const Bytes &wire)
+    logTxMsg(SharedBytes wire)
     {
         if (l5o_ == nullptr || l5o_->txCtxId() == 0)
             return false;
-        txLog_.add(l5oConn_->sndNextByteSeq(), txMsgIdx_++, wire);
+        txLog_.add(l5oConn_->sndNextByteSeq(), txMsgIdx_++, std::move(wire));
         return true;
     }
 

@@ -113,7 +113,8 @@ OffloadDevice::transmit(net::PacketPtr pkt)
             // The special descriptor must ride the same ring the data
             // packet will, or the resync could drain after the packet
             // it is meant to precede.
-            nic_.postTxResync(pkt->txCtx, th.seq, st->msgIdx, st->rebuild,
+            nic_.postTxResync(pkt->txCtx, th.seq, st->msgIdx,
+                              std::move(st->msg), st->rebuildLen,
                               nic_.txQueueFor(pkt->flow()));
         }
         off.txShadowSeq_ = th.seq + static_cast<uint32_t>(pkt->payloadSize());

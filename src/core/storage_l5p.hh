@@ -630,7 +630,8 @@ class StorageSession : public L5pSession
     void
     enqueue(Bytes pdu)
     {
-        sendq_.push_back(SendEntry{std::move(pdu), false});
+        sendq_.push_back(
+            SendEntry{std::make_shared<const Bytes>(std::move(pdu)), false});
         flushSendQueue();
     }
 
@@ -655,7 +656,7 @@ class StorageSession : public L5pSession
   private:
     struct SendEntry
     {
-        Bytes bytes;
+        SharedBytes bytes;   ///< the PDU; the tx log may share it
         bool logged = false; ///< registered in the tx log
     };
 
@@ -670,9 +671,9 @@ class StorageSession : public L5pSession
             // not at enqueue time).
             if (!e.logged)
                 e.logged = logTxMsg(e.bytes);
-            ByteView rest = ByteView(e.bytes).subspan(sendqOff_);
+            ByteView rest = ByteView(*e.bytes).subspan(sendqOff_);
             sendqOff_ += sock_.send(rest);
-            if (sendqOff_ < e.bytes.size())
+            if (sendqOff_ < e.bytes->size())
                 return; // transport full; resume on writable
             sendq_.pop_front();
             sendqOff_ = 0;

@@ -205,7 +205,7 @@ Nic::transmit(net::PacketPtr pkt, int queue)
         return false;
     pcie_.txDataBytes += pkt->bytes.size();
     pcie_.descriptorBytes += cfg_.descriptorBytes;
-    q.txRing.push_back(TxEntry{std::move(pkt), nullptr});
+    q.txRing.push_back(std::move(pkt));
     txPendingTotal_++;
     pumpTx();
     return true;
@@ -213,18 +213,16 @@ Nic::transmit(net::PacketPtr pkt, int queue)
 
 void
 Nic::postTxResync(uint64_t ctxId, uint32_t tcpsn, uint64_t msgIdx,
-                  ByteView rebuild, int queue)
+                  SharedBytes msg, size_t rebuildLen, int queue)
 {
-    auto cmd = std::make_unique<TxResyncCmd>();
-    cmd->ctxId = ctxId;
-    cmd->tcpsn = tcpsn;
-    cmd->msgIdx = msgIdx;
-    cmd->rebuild.assign(rebuild.begin(), rebuild.end());
+    ANIC_ASSERT(rebuildLen == 0 || rebuildLen <= msg->size());
     pcie_.descriptorBytes += cfg_.descriptorBytes;
     // Special descriptors ride the same ring as the flow's data so
     // ordering with surrounding packets is preserved.
-    queues_[static_cast<size_t>(queue)]->txRing.push_back(
-        TxEntry{nullptr, std::move(cmd)});
+    QueueState &q = *queues_[static_cast<size_t>(queue)];
+    q.txResyncs.push_back(TxResyncCmd{std::move(msg), ctxId, msgIdx, tcpsn,
+                                      static_cast<uint32_t>(rebuildLen)});
+    q.txRing.push_back(nullptr);
     txPendingTotal_++;
     pumpTx();
 }
@@ -252,8 +250,9 @@ Nic::drainOne()
     for (int scanned = 0; scanned < n; scanned++, qi = (qi + 1) % n) {
         QueueState &q = *queues_[static_cast<size_t>(qi)];
         // Apply special descriptors preceding this ring's next packet.
-        while (!q.txRing.empty() && q.txRing.front().resync != nullptr) {
-            applyTxResync(*q.txRing.front().resync);
+        while (!q.txRing.empty() && q.txRing.front() == nullptr) {
+            applyTxResync(q.txResyncs.front());
+            q.txResyncs.pop_front();
             q.txRing.pop_front();
             txPendingTotal_--;
         }
@@ -266,7 +265,7 @@ Nic::drainOne()
         return;
     rrNext_ = (qi + 1) % n;
 
-    net::PacketPtr pkt = std::move(qs->txRing.front().pkt);
+    net::PacketPtr pkt = std::move(qs->txRing.front());
     qs->txRing.pop_front();
     txPendingTotal_--;
 
@@ -653,23 +652,22 @@ Nic::applyTxResync(const TxResyncCmd &cmd)
     FlowContext &ctx = ctxArena_.at(tc->ctx);
     stats_.txResyncs++;
     trace_->record(sim_.now(), sim::TraceKind::TxResync, name_, cmd.ctxId,
-                   cmd.tcpsn, cmd.rebuild.size());
+                   cmd.tcpsn, cmd.rebuildLen);
     touchContext(ctx);
 
     // The NIC re-reads the message bytes preceding the retransmitted
     // packet from host memory to rebuild the engine state (the PCIe
     // overhead Figure 16b measures).
-    pcie_.ctxRecoveryBytes += cmd.rebuild.size();
+    pcie_.ctxRecoveryBytes += cmd.rebuildLen;
 
-    uint32_t msg_start =
-        cmd.tcpsn - static_cast<uint32_t>(cmd.rebuild.size());
+    uint32_t msg_start = cmd.tcpsn - cmd.rebuildLen;
     ctx.arm(msg_start, cmd.msgIdx);
-    if (!cmd.rebuild.empty()) {
-        // Feed a scratch copy through the engine: same transforms as
-        // the original pass, output discarded.
-        Bytes scratch(cmd.rebuild);
+    if (cmd.rebuildLen > 0) {
+        // That read lands in NIC scratch, which the engine runs over:
+        // same transforms as the original pass, output discarded.
+        txRebuild_.assign(cmd.msg->data(), cmd.msg->data() + cmd.rebuildLen);
         PacketResult res;
-        ctx.fsm().segment(ctx.posOf(msg_start), scratch, res);
+        ctx.fsm().segment(ctx.posOf(msg_start), txRebuild_, res);
     }
     tc->expectedSeq = cmd.tcpsn;
     ctx.advanceTo(cmd.tcpsn);

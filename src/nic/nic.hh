@@ -21,7 +21,6 @@
 #ifndef ANIC_NIC_NIC_HH
 #define ANIC_NIC_NIC_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "sim/simulator.hh"
 #include "sim/trace.hh"
 #include "util/flat_map.hh"
+#include "util/ring.hh"
 #include "util/slab.hh"
 
 namespace anic::nic {
@@ -276,13 +276,14 @@ class Nic
      * ring as a special descriptor so it is processed in order with
      * the data descriptors around it ("offload-related commands are
      * passed to the NIC via special descriptors, which are placed
-     * into the flow's usual send ring to ensure ordering"). The NIC
-     * DMA-reads @p rebuild (the message bytes from the message start
-     * up to @p tcpsn) to reconstruct the engine state, then expects
-     * the next data descriptor at @p tcpsn.
+     * into the flow's usual send ring to ensure ordering"). The
+     * descriptor references @p msg; when it drains, the NIC DMA-reads
+     * the first @p rebuildLen bytes (the message from its start up to
+     * @p tcpsn) to reconstruct the engine state, then expects the next
+     * data descriptor at @p tcpsn.
      */
     void postTxResync(uint64_t ctxId, uint32_t tcpsn, uint64_t msgIdx,
-                      ByteView rebuild, int queue = 0);
+                      SharedBytes msg, size_t rebuildLen, int queue = 0);
 
     /** The tx ring an outgoing packet of @p txFlow (src = us) rides:
      *  its rx queue's pair, so resync descriptors and data stay
@@ -350,18 +351,15 @@ class Nic
         uint32_t expectedSeq = 0;
     };
 
+    /** A context-recovery descriptor: it holds its message until the
+     *  NIC drains it and reads the first rebuildLen bytes. */
     struct TxResyncCmd
     {
+        SharedBytes msg;
         uint64_t ctxId = 0;
-        uint32_t tcpsn = 0;
         uint64_t msgIdx = 0;
-        Bytes rebuild;
-    };
-
-    struct TxEntry
-    {
-        net::PacketPtr pkt;                  // data descriptor, or
-        std::unique_ptr<TxResyncCmd> resync; // special descriptor
+        uint32_t tcpsn = 0;
+        uint32_t rebuildLen = 0;
     };
 
     /** Rx handoffs due at one tick, drained by one event. The queue
@@ -378,7 +376,10 @@ class Nic
     /** One TX/RX queue pair with its MSI-X completion state. */
     struct QueueState
     {
-        std::deque<TxEntry> txRing;
+        /** Descriptors in post order: a packet, or null where the
+         *  next of txResyncs (the special descriptors) applies. */
+        util::Ring<net::PacketPtr> txRing;
+        util::Ring<TxResyncCmd> txResyncs;
         RxBatch comp;            ///< completions pending interrupt
         uint64_t irqGen = 0;     ///< invalidates stale coalesce timers
         bool timerArmed = false;
@@ -424,6 +425,7 @@ class Nic
     std::vector<RxPending> rxPending_;
     std::vector<RxPending> rxPendingFree_;
     std::vector<RxBatch> rxVecFree_;
+    Bytes txRebuild_; ///< a draining resync's DMA read, reused
 
     std::function<void()> onTxSpace_;
     std::function<void(int, RxBatch)> onRxInterrupt_;

@@ -138,18 +138,6 @@ class TcpConnection : public StreamSocket
     /** Registers a cumulative-ACK observer (kTLS trims record state). */
     void setOnAcked(std::function<void(uint32_t sndUna)> cb) { onAcked_ = std::move(cb); }
 
-    /**
-     * Copies unacknowledged send-stream bytes starting at @p seq into
-     * @p out. Exists because TCP already retains everything up to the
-     * cumulative ACK; L5Ps use it to source tx context-recovery reads
-     * instead of keeping a second copy of every message.
-     */
-    void
-    copyUnacked(uint32_t seq, ByteSpan out) const
-    {
-        sndRing_.copyOut(seqDiff(seq, sndUna_), out);
-    }
-
     /** TCP sequence number of receive-stream offset @p off (used to
      *  translate NIC resync anchors, which are sequence numbers). */
     uint32_t

@@ -55,7 +55,7 @@ TlsSocket::TlsSocket(tcp::TcpConnection &conn, const SessionKeys &keys,
     conn_.setOnReadable([this] { onTcpReadable(); });
     conn_.setOnWritable([this] {
         flushStaging();
-        if (staging_.empty() && onWritable_)
+        if (staging_ == nullptr && onWritable_)
             onWritable_();
     });
 }
@@ -77,11 +77,11 @@ TlsSocket::send(ByteView data)
 {
     conn_.core().charge(conn_.core().model().syscallCost);
     flushStaging();
-    if (!staging_.empty())
+    if (staging_ != nullptr)
         return 0;
 
     size_t consumed = 0;
-    while (consumed < data.size() && staging_.empty() &&
+    while (consumed < data.size() && staging_ == nullptr &&
            conn_.sendSpace() > 0) {
         size_t n = std::min(cfg_.recordSize, data.size() - consumed);
         emitRecord(data.subspan(consumed, n), TxMode::Copy);
@@ -95,11 +95,11 @@ TlsSocket::sendFile(uint64_t seed, uint64_t fileOff, size_t len)
 {
     conn_.core().charge(conn_.core().model().syscallCost);
     flushStaging();
-    if (!staging_.empty())
+    if (staging_ != nullptr)
         return 0;
 
     size_t consumed = 0;
-    while (consumed < len && staging_.empty() && conn_.sendSpace() > 0) {
+    while (consumed < len && staging_ == nullptr && conn_.sendSpace() > 0) {
         size_t n = std::min(cfg_.recordSize, len - consumed);
         Bytes plain(n);
         fillDeterministic(plain, seed, fileOff + consumed);
@@ -136,43 +136,43 @@ TlsSocket::chargeTxRecord(size_t plainLen, TxMode mode)
 bool
 TlsSocket::emitRecord(ByteView plaintext, TxMode mode)
 {
-    ANIC_ASSERT(staging_.empty());
+    ANIC_ASSERT(staging_ == nullptr);
     ANIC_ASSERT(!plaintext.empty() && plaintext.size() <= kMaxPlaintext);
 
     RecordHeader h;
     h.length = static_cast<uint16_t>(plaintext.size() + kTagSize);
-    Bytes wire(h.wireLen());
-    h.encode(wire.data());
+    auto wire = std::make_shared<Bytes>(h.wireLen());
+    h.encode(wire->data());
 
     chargeTxRecord(plaintext.size(), mode);
 
     if (cfg_.txOffload) {
         // Skip the operation: plaintext body + dummy ICV; the NIC
         // encrypts in place and fills the tag.
-        std::memcpy(wire.data() + kHeaderSize, plaintext.data(),
+        std::memcpy(wire->data() + kHeaderSize, plaintext.data(),
                     plaintext.size());
     } else {
         auto nonce = recordNonce(keys_.tx.staticIv, txRecSeq_);
-        txGcm_.start(nonce, ByteView(wire.data(), kHeaderSize));
+        txGcm_.start(nonce, ByteView(wire->data(), kHeaderSize));
         txGcm_.encryptUpdate(plaintext,
-                             ByteSpan(wire).subspan(kHeaderSize,
-                                                    plaintext.size()));
-        txGcm_.finishTag(
-            ByteSpan(wire).subspan(kHeaderSize + plaintext.size(), kTagSize));
+                             ByteSpan(*wire).subspan(kHeaderSize,
+                                                     plaintext.size()));
+        txGcm_.finishTag(ByteSpan(*wire).subspan(
+            kHeaderSize + plaintext.size(), kTagSize));
     }
 
     // With tx offload the NIC may need the record's pre-encryption
-    // bytes for context recovery on retransmission; the tx log keeps
-    // them until the record is fully acked.
+    // bytes for context recovery on retransmission; the tx log shares
+    // this buffer until the record is fully acked.
     logTxMsg(wire);
     txRecSeq_++;
     count(&TlsStats::recordsTx);
     count(&TlsStats::plaintextBytesTx, plaintext.size());
 
-    size_t acc = conn_.send(wire);
-    if (acc < wire.size()) {
-        staging_.assign(wire.begin() + acc, wire.end());
-        stagingOff_ = 0;
+    size_t acc = conn_.send(*wire);
+    if (acc < wire->size()) {
+        staging_ = std::move(wire);
+        stagingOff_ = acc;
         return false;
     }
     return true;
@@ -181,14 +181,11 @@ TlsSocket::emitRecord(ByteView plaintext, TxMode mode)
 void
 TlsSocket::flushStaging()
 {
-    if (staging_.empty())
+    if (staging_ == nullptr)
         return;
-    ByteView rest =
-        ByteView(staging_).subspan(stagingOff_, staging_.size() - stagingOff_);
-    size_t acc = conn_.send(rest);
-    stagingOff_ += acc;
-    if (stagingOff_ == staging_.size()) {
-        staging_.clear();
+    stagingOff_ += conn_.send(ByteView(*staging_).subspan(stagingOff_));
+    if (stagingOff_ == staging_->size()) {
+        staging_.reset();
         stagingOff_ = 0;
     }
 }
@@ -196,7 +193,7 @@ TlsSocket::flushStaging()
 size_t
 TlsSocket::sendSpace() const
 {
-    if (!staging_.empty())
+    if (staging_ != nullptr)
         return 0;
     size_t sp = conn_.sendSpace();
     size_t per_record = kHeaderSize + kTagSize;

@@ -133,7 +133,11 @@ class TlsSocket : public tcp::StreamSocket, public core::L5pSession
      *  with an all-acked connection means no in-flight record depends
      *  on this socket's keys or NIC contexts — the safe point for a
      *  key-rotation style socket swap. */
-    size_t txBacklog() const { return staging_.size() - stagingOff_; }
+    size_t
+    txBacklog() const
+    {
+        return staging_ != nullptr ? staging_->size() - stagingOff_ : 0;
+    }
 
   private:
     // ------------------------------------------------------- tx
@@ -185,8 +189,8 @@ class TlsSocket : public tcp::StreamSocket, public core::L5pSession
 
     // --- tx state
     uint64_t txRecSeq_ = 0;
-    Bytes staging_; ///< tail of a record TCP could not accept yet
-    size_t stagingOff_ = 0;
+    SharedBytes staging_; ///< a record TCP has not yet taken all of
+    size_t stagingOff_ = 0; ///< bytes of it TCP took
     std::function<void()> onWritable_;
 
     // --- rx state

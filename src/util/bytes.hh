@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -18,6 +19,8 @@ namespace anic {
 using Bytes = std::vector<uint8_t>;
 using ByteView = std::span<const uint8_t>;
 using ByteSpan = std::span<uint8_t>;
+/** An immutable buffer with shared owners (a logged tx message). */
+using SharedBytes = std::shared_ptr<const Bytes>;
 
 /** Writes a big-endian integer of @p n bytes (n <= 8) at @p dst. */
 inline void

@@ -20,12 +20,12 @@ using core::RxResyncAnswerer;
 using core::TxMsgLog;
 
 /** A message of @p n deterministic bytes. */
-Bytes
+SharedBytes
 msg(size_t n, uint64_t seed = 0)
 {
     Bytes b(n);
     fillDeterministic(b, seed, 0);
-    return b;
+    return std::make_shared<const Bytes>(std::move(b));
 }
 
 /** Index of the logged message holding @p seq, or -1. */
@@ -77,13 +77,15 @@ TEST(TxMsgLog, SequenceWrapAround)
 TEST(TxMsgLog, RetainedBytesServeRebuilds)
 {
     TxMsgLog t;
-    t.add(5000, 3, msg(300, 5));
+    SharedBytes m = msg(300, 5);
+    t.add(5000, 3, m);
     std::optional<core::TxMsgState> st = t.state(5100);
     ASSERT_TRUE(st.has_value());
-    EXPECT_EQ(st->msgStartSeq, 5000u);
     EXPECT_EQ(st->msgIdx, 3u);
-    ASSERT_EQ(st->rebuild.size(), 100u);
-    EXPECT_TRUE(checkDeterministic(st->rebuild, 5, 0));
+    // The state shares the logged buffer instead of copying a prefix.
+    EXPECT_EQ(st->msg, m);
+    ASSERT_EQ(st->rebuildLen, 100u);
+    EXPECT_TRUE(checkDeterministic(ByteView(*st->msg).first(100), 5, 0));
 }
 
 // ------------------------------------------------ rx resync answerer

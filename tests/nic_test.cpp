@@ -238,57 +238,89 @@ TEST(NicDevice, TxOffloadEncryptsThroughRingInOrder)
     EXPECT_EQ(w.nicA.stats().txOffloadedPkts, 2u);
 }
 
+/** A TLS tx context at seq 1000 that has sent one 200-byte record in
+ *  full; the resync cases retransmit the record's tail. */
+struct TxRecoveryWorld : NicWorld
+{
+    static constexpr size_t kPlain = 200;
+    uint64_t ctx = 0;
+    SharedBytes rec; ///< the record as the L5P logged it
+    Bytes first;     ///< its ciphertext from the first pass
+
+    TxRecoveryWorld()
+    {
+        tls::DirectionKeys keys;
+        keys.key.assign(16, 0x42);
+        keys.staticIv.assign(12, 0x24);
+        ctx = nicA.createTxContext(std::make_unique<tls::TlsTxEngine>(keys),
+                                   1000, 0);
+        tls::RecordHeader h;
+        h.length = kPlain + 16;
+        Bytes r(h.wireLen(), 0);
+        h.encode(r.data());
+        fillDeterministic(ByteSpan(r).subspan(5, kPlain), 4, 0);
+        rec = std::make_shared<const Bytes>(std::move(r));
+
+        nicA.transmit(pkt(0));
+        sim.run();
+        first.assign(atB[0]->payload().begin(), atB[0]->payload().end());
+    }
+
+    /** The record's bytes from @p off on, tagged with the context. */
+    net::PacketPtr
+    pkt(size_t off) const
+    {
+        net::Ipv4Header ip;
+        ip.src = 1;
+        ip.dst = 2;
+        net::TcpHeader t;
+        t.seq = 1000 + static_cast<uint32_t>(off);
+        auto p = net::PacketPool::threadDefault().make(
+            ip, t, ByteView(*rec).subspan(off));
+        p->txCtx = ctx;
+        return p;
+    }
+};
+
 TEST(NicDevice, TxResyncDescriptorRebuildsState)
 {
-    NicWorld w;
-    tls::DirectionKeys keys;
-    keys.key.assign(16, 0x42);
-    keys.staticIv.assign(12, 0x24);
-    uint64_t ctx = w.nicA.createTxContext(
-        std::make_unique<tls::TlsTxEngine>(keys), 1000, 0);
-
-    constexpr size_t kPlain = 200;
-    tls::RecordHeader h;
-    h.length = kPlain + 16;
-    Bytes rec(h.wireLen(), 0);
-    h.encode(rec.data());
-    Bytes pt(kPlain);
-    fillDeterministic(pt, 4, 0);
-    std::memcpy(rec.data() + 5, pt.data(), kPlain);
-
-    net::Ipv4Header ip;
-    ip.src = 1;
-    ip.dst = 2;
-
-    // First pass: full record in-sequence.
-    net::TcpHeader t1;
-    t1.seq = 1000;
-    auto p1 = net::PacketPool::threadDefault().make(ip, t1, rec);
-    p1->txCtx = ctx;
-    w.nicA.transmit(p1);
-    w.sim.run();
-    Bytes first = Bytes(w.atB[0]->payload().begin(),
-                        w.atB[0]->payload().end());
-
+    TxRecoveryWorld w;
     // Retransmission of the record's tail: the driver posts a resync
     // descriptor with the rebuild prefix, then the packet.
     constexpr size_t kOff = 77;
-    w.nicA.postTxResync(ctx, 1000 + kOff, 0,
-                        ByteView(rec).subspan(0, kOff));
-    net::TcpHeader t2;
-    t2.seq = 1000 + kOff;
-    auto p2 = net::PacketPool::threadDefault().make(
-        ip, t2, ByteView(rec).subspan(kOff));
-    p2->txCtx = ctx;
-    w.nicA.transmit(p2);
+    w.nicA.postTxResync(w.ctx, 1000 + kOff, 0, w.rec, kOff);
+    w.nicA.transmit(w.pkt(kOff));
     w.sim.run();
 
     ASSERT_EQ(w.atB.size(), 2u);
     ByteView retx = w.atB[1]->payload();
     // Identical ciphertext for the overlapping range: receivers mix
     // original and retransmitted bytes freely.
-    EXPECT_TRUE(std::equal(retx.begin(), retx.end(), first.begin() + kOff));
+    EXPECT_TRUE(std::equal(retx.begin(), retx.end(), w.first.begin() + kOff));
     EXPECT_EQ(w.nicA.stats().txResyncs, 1u);
+    EXPECT_EQ(w.nicA.pcie().ctxRecoveryBytes, kOff);
+}
+
+TEST(NicDevice, TxResyncDescriptorOutlivesTrimmedLog)
+{
+    TxRecoveryWorld w;
+    constexpr size_t kOff = 150;
+    w.nicA.postTxResync(w.ctx, 1000 + kOff, 0, w.rec, kOff);
+    net::PacketPtr tail = w.pkt(kOff);
+    // An ACK trims the logged record while the descriptor is queued:
+    // the descriptor's reference is now the only one.
+    std::weak_ptr<const Bytes> alive = w.rec;
+    w.rec.reset();
+    ASSERT_FALSE(alive.expired());
+    w.nicA.transmit(std::move(tail));
+    w.sim.run();
+
+    // Drained: the NIC read the prefix and let the message go.
+    EXPECT_TRUE(alive.expired());
+    ASSERT_EQ(w.atB.size(), 2u);
+    ByteView retx = w.atB[1]->payload();
+    ASSERT_EQ(retx.size(), w.first.size() - kOff);
+    EXPECT_TRUE(std::equal(retx.begin(), retx.end(), w.first.begin() + kOff));
     EXPECT_EQ(w.nicA.pcie().ctxRecoveryBytes, kOff);
 }
 

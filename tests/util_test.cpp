@@ -8,12 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
 #include <unordered_map>
 
 #include "util/bytes.hh"
 #include "util/flat_map.hh"
 #include "util/panic.hh"
 #include "util/rand.hh"
+#include "util/ring.hh"
 #include "util/slab.hh"
 
 namespace anic {
@@ -525,6 +528,45 @@ TEST(FlatMap, SequentialIdChurnStaysShallow)
     EXPECT_EQ(m.size(), resident.size());
     for (uint64_t id : resident)
         ASSERT_NE(m.find(id), nullptr) << id;
+}
+
+// ------------------------------------------------------------------ Ring
+
+TEST(Ring, FifoOrderAcrossWrapAndGrowth)
+{
+    util::Ring<int> r;
+    std::deque<int> ref;
+    Rng rng(0x7269);
+    int next = 0;
+    // Random pushes and pops keep the head moving, so growth happens
+    // with the live entries wrapped around the array's end.
+    for (int i = 0; i < 20000; i++) {
+        if (ref.empty() || rng.below(3) != 0) {
+            r.push_back(next);
+            ref.push_back(next++);
+        } else {
+            ASSERT_EQ(r.front(), ref.front());
+            r.pop_front();
+            ref.pop_front();
+        }
+        ASSERT_EQ(r.size(), ref.size());
+    }
+    while (!ref.empty()) {
+        ASSERT_EQ(r.front(), ref.front());
+        r.pop_front();
+        ref.pop_front();
+    }
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, PopReleasesTheSlot)
+{
+    util::Ring<std::shared_ptr<int>> r;
+    auto p = std::make_shared<int>(7);
+    r.push_back(p);
+    EXPECT_EQ(p.use_count(), 2);
+    r.pop_front();
+    EXPECT_EQ(p.use_count(), 1);
 }
 
 } // namespace
